@@ -134,10 +134,10 @@ def _atom_from_json(raw, where):
         return raw
     if isinstance(raw, dict) and set(raw) == {"incharge"}:
         inner = raw["incharge"]
-        try:
-            return InChargeAtom(inner["org"], inner["role"], inner["fact"])
-        except (TypeError, KeyError):
+        fields = [inner.get(k) for k in ("org", "role", "fact")] if isinstance(inner, dict) else [None]
+        if not all(isinstance(x, str) for x in fields):
             raise ModelError(f"{where}: malformed incharge atom {raw!r}")
+        return InChargeAtom(*fields)
     raise ModelError(f"{where}: atom must be a fact name or an incharge object, got {raw!r}")
 
 
@@ -146,6 +146,8 @@ def _per_world(raw, world_ids, convert, where):
     if isinstance(raw, dict) and ("default" in raw or "at" in raw):
         default = raw.get("default", [])
         at = raw.get("at", {})
+        if not isinstance(at, dict):
+            raise ModelError(f"{where}: 'at' must be an object of per-world overrides")
     else:
         default = raw
         at = {}
@@ -184,12 +186,87 @@ def reflexive_transitive_closure(pairs, domain):
     return frozenset(closed)
 
 
+def successor_maps(world_ids, transitions):
+    """`(succ, out)` in one pass over the transitions.
+
+    `out[w]` keeps the transitions leaving `w` in their order in
+    `transitions`, and both maps list the worlds in `world_ids` order.
+    """
+    out = {w: [] for w in world_ids}
+    for t in transitions:
+        out[t.src].append(t)
+    out = {w: tuple(ts) for w, ts in out.items()}
+    succ = {w: frozenset(t.dst for t in ts) for w, ts in out.items()}
+    return succ, out
+
+
+def _check_shape(doc):
+    """Reject JSON of the wrong shape before any field is used."""
+
+    def need(ok, where, what):
+        if not ok:
+            raise ModelError(f"{where}: {what}")
+
+    def obj(v, where):
+        need(isinstance(v, dict), where, f"expected an object, got {v!r}")
+
+    def names(v, where):
+        need(isinstance(v, list) and all(isinstance(x, str) for x in v), where,
+             f"expected a list of names, got {v!r}")
+
+    def pairs(v, where, objects=True):
+        need(isinstance(v, list), where, f"expected a list of pairs, got {v!r}")
+        for pair in v:
+            if objects and isinstance(pair, dict):
+                ids = [pair.get("agent"), pair.get("role")]
+            else:
+                need(isinstance(pair, list) and len(pair) == 2, where, f"expected a pair, got {pair!r}")
+                ids = pair
+            need(all(isinstance(x, (str, type(None))) for x in ids), where,
+                 f"pair members must be names, got {pair!r}")
+
+    def per_world(raw, where, check):
+        if isinstance(raw, dict) and ("default" in raw or "at" in raw):
+            obj(raw.get("at", {}), f"{where}.at")
+            check(raw.get("default", []), where)
+            for w, v in raw.get("at", {}).items():
+                check(v, f"{where}.at[{w}]")
+        else:
+            check(raw, where)
+
+    for key in ("facts", "agents", "roles", "worlds", "transitions", "orgs"):
+        need(isinstance(doc.get(key, []), list), key, "expected a list")
+    for key in ("capabilities", "config"):
+        obj(doc.get(key, {}), key)
+    for kind in ("c", "cn", "cr"):
+        obj(doc.get("capabilities", {}).get(kind, {}), f"capabilities.{kind}")
+    for w in doc.get("worlds", []):
+        obj(w, "worlds")
+        names(w.get("facts", []), f"world {w.get('id')!r} facts")
+    for t in doc.get("transitions", []):
+        obj(t, "transitions")
+        need(all(isinstance(t.get(k), (str, type(None))) for k in ("from", "to")),
+             "transitions", f"from/to must be world ids, got {t!r}")
+        pairs(t.get("labels", []), f"transition {t.get('from')!r}->{t.get('to')!r} labels")
+    for org in doc.get("orgs", []):
+        obj(org, "orgs")
+        where = f"org {org.get('id')!r}"
+        need(isinstance(org.get("id", ""), str), where, "id must be a string")
+        for key in ("members", "roles", "desires", "knowPlus", "knowMinus"):
+            per_world(org.get(key, []), f"{where} {key}", names)
+        per_world(org.get("rea", []), f"{where} rea", pairs)
+        per_world(org.get("dep", []), f"{where} dep", lambda v, at_where: pairs(v, at_where, objects=False))
+        obj(org.get("objectives", {}), f"{where} objectives")
+        for role, entry in org.get("objectives", {}).items():
+            per_world(entry, f"{where} objectives[{role}]", names)
+
+
 def load_model(source):
     """Parse model JSON text into a validated-on-load Model.
 
-    Raises ModelError on syntax errors (with line/position), unknown
-    identifier references, duplicate ids, and totality violations under
-    the "error" policy.
+    Raises ModelError on syntax errors (with line/position), malformed
+    JSON shapes, unknown identifier references, duplicate ids, and
+    totality violations under the "error" policy.
     """
     try:
         doc = json.loads(source)
@@ -197,6 +274,7 @@ def load_model(source):
         raise ModelError(f"syntax error: {e.msg} at line {e.lineno}, column {e.colno}")
     if not isinstance(doc, dict):
         raise ModelError("model file must contain a JSON object")
+    _check_shape(doc)
 
     facts = doc.get("facts", [])
     agents = doc.get("agents", [])
@@ -403,6 +481,7 @@ def load_model(source):
         Transition(src, dst, frozenset(labels))
         for (src, dst), labels in sorted(merged.items())
     )
+    succ, out = successor_maps(world_ids, transitions)
 
     model = Model(
         facts=fact_set,
@@ -417,12 +496,8 @@ def load_model(source):
         totality=totality,
         world_ids=world_ids,
         valuation={w.id: w.facts for w in worlds},
-        succ={
-            w: frozenset(t.dst for t in transitions if t.src == w) for w in world_ids
-        },
-        out={
-            w: tuple(t for t in transitions if t.src == w) for w in world_ids
-        },
+        succ=succ,
+        out=out,
     )
 
     # Label soundness is a hard load error: a label outside every rea

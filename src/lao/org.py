@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .model import InChargeAtom
-from .semantics import Evaluator
+from .semantics import Evaluator, _nonempty_subsets
 
 CAP_KNOWLEDGE_PREFIX = "cap__"
 
@@ -194,7 +194,7 @@ def check_good_property(model, org_id, pool, ev=None):
             members = org.members.get(w, frozenset())
             if members and ev.eval(w, F.Attempt(F.AgentGroup(members), goal)):
                 attempt_here.add(w)
-        eventually = ev._lfp(lambda z: frozenset(attempt_here) | ev._ax(z))
+        eventually = ev.af(frozenset(attempt_here))
         for w in model.world_ids:
             for r in sorted(org.roles.get(w, frozenset())):
                 if ev.eval(w, F.Initiative(frozenset([r]), goal)) and w not in eventually:
@@ -435,8 +435,3 @@ def analyze(model, org_id, pool=None, ev=None):
         check_efficient(model, org_id, pool, ev),
     ]
     return verdicts, classify_structure(model, org_id, ev)
-
-
-def _nonempty_subsets(items):
-    for k in range(1, len(items) + 1):
-        yield from itertools.combinations(items, k)

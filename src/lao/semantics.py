@@ -43,6 +43,10 @@ class Evaluator:
         for w in self.worlds:
             if not model.succ.get(w):
                 raise EvalError(f"world {w!r} has no successor; fix totality first")
+        self._pred = {w: [] for w in self.worlds}
+        for w in self.worlds:
+            for v in model.succ[w]:
+                self._pred[v].append(w)
 
     # -- basic lookups ------------------------------------------------------
 
@@ -213,17 +217,20 @@ class Evaluator:
         if isinstance(f, F.EX):
             return self._ex(self.sat(f.sub))
         if isinstance(f, F.AF):
-            return self._lfp(lambda z: self.sat(f.sub) | self._ax(z))
+            return self.af(self.sat(f.sub))
         if isinstance(f, F.EF):
-            return self._lfp(lambda z: self.sat(f.sub) | self._ex(z))
+            return self._eu(W, self.sat(f.sub))
         if isinstance(f, F.AG):
-            return self._gfp(lambda z: self.sat(f.sub) & self._ax(z))
+            # Every world has a successor, so AG s is the complement of EF !s.
+            return W - self._eu(W, W - self.sat(f.sub))
         if isinstance(f, F.EG):
-            return self._gfp(lambda z: self.sat(f.sub) & self._ex(z))
+            return self._eg(self.sat(f.sub))
         if isinstance(f, F.AU):
-            return self._lfp(lambda z: self.sat(f.right) | (self.sat(f.left) & self._ax(z)))
+            return self._au(self.sat(f.left), self.sat(f.right))
         if isinstance(f, F.EU):
-            return self._lfp(lambda z: self.sat(f.right) | (self.sat(f.left) & self._ex(z)))
+            return self._eu(self.sat(f.left), self.sat(f.right))
+        if isinstance(f, (F.Cap, F.JointCap, F.Ability, F.Attempt, F.Stit, F.InControl)):
+            self._check_holder(f.holder)
         if isinstance(f, F.Cap):
             return self._cap_set(f.holder, self.sat(f.sub))
         if isinstance(f, F.JointCap):
@@ -243,7 +250,6 @@ class Evaluator:
                 if all(t.dst in sub for t in self.influence(w, f.holder))
             )
         if isinstance(f, F.InControl):
-            self._check_holder(f.holder)
             return frozenset(
                 w for w in self.worlds
                 if all(self._labels_match(t.labels, f.holder, w) for t in m.out[w])
@@ -319,21 +325,59 @@ class Evaluator:
     def _ex(self, s):
         return frozenset(w for w in self.worlds if self.m.succ[w] & s)
 
-    def _lfp(self, step):
-        z = frozenset()
-        while True:
-            nxt = step(z)
-            if nxt == z:
-                return z
-            z = nxt
+    def af(self, worlds):
+        """Worlds from which every path reaches `worlds` (AF over a set)."""
+        return self._au(self.world_set, worlds)
 
-    def _gfp(self, step):
-        z = self.world_set
-        while True:
-            nxt = step(z)
-            if nxt == z:
-                return z
-            z = nxt
+    # The fixpoints below follow the CTL labelling algorithm (Clarke,
+    # Emerson and Sistla 1986): each visits a world and its incoming
+    # transitions at most once, so each costs O(W + T).
+
+    def _eu(self, left, right):
+        """E[left U right]: backward reachability from `right` via `left`."""
+        out = set(right)
+        todo = list(right)
+        while todo:
+            v = todo.pop()
+            for u in self._pred[v]:
+                if u not in out and u in left:
+                    out.add(u)
+                    todo.append(u)
+        return frozenset(out)
+
+    def _au(self, left, right):
+        """A[left U right]: a `left` world joins once all its successors have."""
+        succ = self.m.succ
+        pending = {}
+        out = set(right)
+        todo = list(right)
+        while todo:
+            v = todo.pop()
+            for u in self._pred[v]:
+                if u in out:
+                    continue
+                n = pending.get(u, len(succ[u])) - 1
+                pending[u] = n
+                if n == 0 and u in left:
+                    out.add(u)
+                    todo.append(u)
+        return frozenset(out)
+
+    def _eg(self, s):
+        """EG s: drop `s` worlds until each keeps a successor inside."""
+        succ = self.m.succ
+        inside = {w: len(succ[w] & s) for w in s}
+        todo = [w for w, n in inside.items() if n == 0]
+        out = set(s).difference(todo)
+        while todo:
+            v = todo.pop()
+            for u in self._pred[v]:
+                if u in out:
+                    inside[u] -= 1
+                    if inside[u] == 0:
+                        out.discard(u)
+                        todo.append(u)
+        return frozenset(out)
 
     def _dep_groups(self, org, w, low, high):
         """Group dependency: every high role is below some low role."""

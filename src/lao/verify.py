@@ -15,7 +15,10 @@ import random
 from dataclasses import dataclass, field
 
 from . import formula as F
-from .model import Model, OrgStructure, Transition, World, validate_model
+from .model import (
+    Model, OrgStructure, Transition, World, reflexive_transitive_closure,
+    successor_maps, validate_model,
+)
 from .semantics import Evaluator
 
 
@@ -125,7 +128,7 @@ def generate_model(params):
     kp = {}
     km = {}
     for w in world_ids:
-        kp[w] = frozenset(f for f in valuations[w] if rng.random() < 0.3)
+        kp[w] = frozenset(f for f in sorted(valuations[w]) if rng.random() < 0.3)
         km[w] = frozenset(
             f for f in facts if f not in valuations[w] and rng.random() < 0.3
         )
@@ -135,14 +138,14 @@ def generate_model(params):
         for q in roles:
             if rng.random() < 0.3:
                 dep_pairs.add((r, q))
-    closed = _close(dep_pairs)
+    closed = reflexive_transitive_closure(dep_pairs, roles)
 
     org = OrgStructure(
         id="org0",
         members={w: frozenset(agents) for w in world_ids},
         roles={w: frozenset(roles) for w in world_ids},
         rea={w: frozenset(rea_pairs) for w in world_ids},
-        dep={w: frozenset(closed) for w in world_ids},
+        dep={w: closed for w in world_ids},
         desires={w: frozenset() for w in world_ids},
         objectives={w: {} for w in world_ids},
         know_plus=kp,
@@ -156,6 +159,7 @@ def generate_model(params):
         Transition(src, dst, frozenset(labels))
         for (src, dst), labels in sorted(merged.items())
     )
+    succ, out = successor_maps(world_ids, trans)
     model = Model(
         facts=frozenset(facts),
         agents=frozenset(agents),
@@ -169,26 +173,13 @@ def generate_model(params):
         totality="self-loop",
         world_ids=tuple(world_ids),
         valuation={w: frozenset(valuations[w]) for w in world_ids},
-        succ={w: frozenset(t.dst for t in trans if t.src == w) for w in world_ids},
-        out={w: tuple(t for t in trans if t.src == w) for w in world_ids},
+        succ=succ,
+        out=out,
     )
     violations = validate_model(model)
     if violations:
         raise AssertionError(f"generator produced an invalid model: {violations[:3]}")
     return model
-
-
-def _close(pairs):
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closed):
-            for (c, d) in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return closed
 
 
 # ---------------------------------------------------------------------------

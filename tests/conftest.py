@@ -36,6 +36,63 @@ def sigma_brute_force(ev, atoms, target):
     return False
 
 
+def lfp(step):
+    """Least fixpoint by rounds from the empty set."""
+    z = frozenset()
+    while True:
+        nxt = step(z)
+        if nxt == z:
+            return z
+        z = nxt
+
+
+def gfp(step, top):
+    """Greatest fixpoint by rounds from `top`."""
+    z = top
+    while True:
+        nxt = step(z)
+        if nxt == z:
+            return z
+        z = nxt
+
+
+def temporal_by_rounds(ev, f):
+    """Satisfying set of a CTL operator at the root of `f`, by the textbook
+    fixpoint equations iterated to stability.
+
+    Each round re-scans every world, so this is quadratic on a chain; the
+    engine's worklist algorithms must give the same sets.  Operands are
+    taken from `ev.sat`, so only the root operator is checked.
+    """
+    succ = ev.m.succ
+    W = ev.world_set
+
+    def ax(s):
+        return frozenset(w for w in W if succ[w] <= s)
+
+    def ex(s):
+        return frozenset(w for w in W if succ[w] & s)
+
+    if isinstance(f, (F.AU, F.EU)):
+        left, right = ev.sat(f.left), ev.sat(f.right)
+        nxt = ax if isinstance(f, F.AU) else ex
+        return lfp(lambda z: right | (left & nxt(z)))
+    s = ev.sat(f.sub)
+    if isinstance(f, F.AX):
+        return ax(s)
+    if isinstance(f, F.EX):
+        return ex(s)
+    if isinstance(f, F.AF):
+        return lfp(lambda z: s | ax(z))
+    if isinstance(f, F.EF):
+        return lfp(lambda z: s | ex(z))
+    if isinstance(f, F.AG):
+        return gfp(lambda z: s & ax(z), W)
+    if isinstance(f, F.EG):
+        return gfp(lambda z: s & ex(z), W)
+    raise TypeError(f"not a CTL operator: {f!r}")
+
+
 def fixture_doc(name):
     """Fixture JSON as a mutable dict, for building mutated variants."""
     return json.loads(fixture_text(name))

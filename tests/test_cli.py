@@ -157,3 +157,29 @@ def test_json_report_deterministic_modulo_timing(tmp_path, gas0_path):
 
 def test_bundled_fixture_names_resolve(capsys):
     assert main(["validate", "gas0prime"]) == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"facts": ["p"], "agents": ["a"], "worlds": [5]},
+    {"facts": 5, "agents": ["a"], "worlds": [{"id": "w0"}]},
+    {"facts": ["p"], "agents": ["a"], "worlds": [{"id": "w0"}], "capabilities": []},
+    {"facts": ["p"], "agents": ["a"], "roles": ["r"], "worlds": [{"id": "w0"}],
+     "orgs": [{"id": "O", "roles": ["r"], "dep": [5]}]},
+], ids=["world-not-object", "facts-not-list", "capabilities-not-object", "scalar-dep"])
+def test_malformed_model_exits_two_without_traceback(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("formula, message", [
+    ("C[zz] p", "unknown agent"),
+    ("C[zz:r] p", "unknown agent"),
+    ("C[a:zz] p", "unknown role"),
+])
+def test_check_unknown_capability_holder_exits_two(capsys, formula, message):
+    assert main(["check", fixture_path("fig1"), "-f", formula]) == 2
+    assert message in capsys.readouterr().err

@@ -247,3 +247,96 @@ def test_closure_idempotent_on_generated_models():
         twice = close_dependencies(once)
         for oid in m.orgs:
             assert once.orgs[oid].dep == twice.orgs[oid].dep
+
+
+def _naive_successors(m):
+    succ = {w: frozenset(t.dst for t in m.transitions if t.src == w) for w in m.world_ids}
+    out = {w: tuple(t for t in m.transitions if t.src == w) for w in m.world_ids}
+    return succ, out
+
+
+def test_successor_maps_match_per_world_filter():
+    import random
+
+    from lao.verify import GenParams, generate_model
+
+    rng = random.Random(3)
+    ids = [f"v{i}" for i in range(300)]
+    transitions = [
+        {"from": w, "to": v, "labels": [["a", "r"]] if rng.random() < 0.3 else []}
+        for w in ids for v in rng.choices(ids, k=rng.randint(1, 4))
+    ]
+    worlds = [{"id": w, "facts": ["p"] if rng.random() < 0.5 else []} for w in ids]
+    rng.shuffle(transitions)
+    rng.shuffle(worlds)
+    doc = {
+        "facts": ["p"], "agents": ["a"], "roles": ["r"],
+        "worlds": worlds, "transitions": transitions,
+        "orgs": [{"id": "O", "members": ["a"], "roles": ["r"], "rea": [["a", "r"]]}],
+    }
+    models = [load_doc(doc)]
+    models += [generate_model(GenParams(seed=s)) for s in range(10)]
+    for m in models:
+        succ, out = _naive_successors(m)
+        assert m.succ == succ
+        assert m.out == out
+        assert list(m.succ) == list(m.out) == list(m.world_ids)
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda d: d.update(worlds=[5]), id="world-not-object"),
+    pytest.param(lambda d: d.update(facts=5), id="facts-not-list"),
+    pytest.param(lambda d: d.update(capabilities=[]), id="capabilities-not-object"),
+    pytest.param(lambda d: d["capabilities"].update(c=["a"]), id="c-not-object"),
+    pytest.param(lambda d: d["worlds"][0].update(facts=[["p"]]), id="world-fact-not-name"),
+    pytest.param(lambda d: d["orgs"][0].update(dep=5), id="dep-scalar"),
+    pytest.param(lambda d: d["orgs"][0].update(dep=[5]), id="dep-entry-scalar"),
+    pytest.param(lambda d: d["orgs"][0].update(dep={"default": [], "at": [["w0", []]]}), id="dep-at-not-object"),
+    pytest.param(lambda d: d["orgs"][0].update(members={"default": [], "at": 5}), id="members-at-scalar"),
+    pytest.param(lambda d: d["orgs"][0].update(members=5), id="members-scalar"),
+    pytest.param(lambda d: d["orgs"][0].update(rea=[5]), id="rea-entry-scalar"),
+    pytest.param(lambda d: d["orgs"][0].update(rea=[[["a"], "r"]]), id="rea-agent-not-name"),
+    pytest.param(lambda d: d["orgs"][0].update(objectives=[]), id="objectives-not-object"),
+    pytest.param(lambda d: d["orgs"][0].update(id=["O"]), id="org-id-not-name"),
+    pytest.param(lambda d: d["transitions"][0].update(labels=[5]), id="label-scalar"),
+    pytest.param(lambda d: d["transitions"][0].update(to=["w0"]), id="transition-to-not-name"),
+    pytest.param(lambda d: d.update(config=[]), id="config-not-object"),
+    pytest.param(
+        lambda d: d["capabilities"].update(
+            c={"a": [{"incharge": {"org": [], "role": "r", "fact": "p"}}]}
+        ),
+        id="incharge-field-not-name",
+    ),
+])
+def test_malformed_shapes_raise_model_error(mutate):
+    doc = fixture_doc("fig1")
+    doc.setdefault("capabilities", {})
+    mutate(doc)
+    with pytest.raises(ModelError):
+        load_doc(doc)
+
+
+def test_mutated_fixtures_raise_only_model_error():
+    import random
+
+    rng = random.Random(17)
+    values = [5, "x", None, [], {}, [5], [[5]], {"at": 5}, [{"agent": []}], [["a", "b", "c"]]]
+
+    def paths(x, prefix=()):
+        if prefix:
+            yield prefix
+        items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+        for k, v in items:
+            yield from paths(v, prefix + (k,))
+
+    for name in sorted(FIXTURES) * 60:
+        doc = fixture_doc(name)
+        *parents, last = rng.choice(list(paths(doc)))
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[last] = json.loads(json.dumps(rng.choice(values)))
+        try:
+            load_doc(doc)
+        except ModelError:
+            pass

@@ -1,15 +1,17 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from lao import formula as F
+from lao import load_model
 from lao.formula import parse
-from lao.fixtures import load_fixture
+from lao.fixtures import FIXTURES, load_fixture
 from lao.semantics import EvalError, Evaluator
 from lao.verify import GenParams, PathOracle, generate_model, literal_pool
 
-from conftest import sigma_brute_force
+from conftest import lfp, sigma_brute_force, temporal_by_rounds
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +143,10 @@ def test_unknown_identifiers_raise():
         ev.eval("w0", parse("mystery_fact"))
     with pytest.raises(EvalError):
         ev.eval("w0", parse("member(a, NoSuchOrg)"))
+    for text in ("C[zz] p", "C[a:zz] p", "C[zz:r] p", "G[zz] p", "H[{a,zz}] p",
+                 "E[zz] p", "JC[{a,zz}] p", "IC[zz]"):
+        with pytest.raises(EvalError, match="unknown"):
+            ev.eval("w0", parse(text))
 
 
 # -- operator ladder and algebra ---------------------------------------------
@@ -279,3 +285,90 @@ def test_attempt_set_for_rea_group_unions_only_enacted_pairs():
     h = F.ReaGroup(frozenset(["s"]), frozenset(["trader", "shipper"]))
     got = {(t.src, t.dst) for t in ev.influence("s6", h)}
     assert got == {("s6", "s7")}
+
+
+# -- worklist fixpoints against the round-based equations ---------------------
+
+_UNARY = (F.AX, F.EX, F.AF, F.EF, F.AG, F.EG)
+_BINARY = (F.AU, F.EU)
+
+
+def _assert_temporal_sets_match(ev, operands):
+    for sub in operands:
+        for op in _UNARY:
+            f = op(sub)
+            assert ev.sat(f) == temporal_by_rounds(ev, f), F.fprint(f)
+    for left in operands:
+        for right in operands:
+            for op in _BINARY:
+                f = op(left, right)
+                assert ev.sat(f) == temporal_by_rounds(ev, f), F.fprint(f)
+
+
+def _operands(model, nested=True):
+    atoms = [F.Atom(x) for x in sorted(model.facts)][:3]
+    out = [F.TrueF(), F.FalseF()] + atoms + [F.Not(a) for a in atoms]
+    if nested:
+        out += [F.EG(atoms[0]), F.AF(F.Not(atoms[-1]))]
+    return out
+
+
+def _graph_model(ids, succ, facts):
+    return load_model(json.dumps({
+        "facts": ["p", "q"], "agents": ["a"], "roles": ["r"],
+        "worlds": [{"id": w, "facts": facts[w]} for w in ids],
+        "transitions": [{"from": w, "to": v} for w in ids for v in succ[w]],
+    }))
+
+
+def _chain(n, loop_back=None):
+    """Chain x0 -> ... -> x(n-1); the last world loops to `loop_back`."""
+    ids = [f"x{i}" for i in range(n)]
+    succ = {w: [ids[i + 1]] for i, w in enumerate(ids[:-1])}
+    succ[ids[-1]] = [ids[-1 if loop_back is None else loop_back]]
+    facts = {w: (["p"] if i % 97 == 96 else []) + (["q"] if i % 50 else [])
+             for i, w in enumerate(ids)}
+    return _graph_model(ids, succ, facts)
+
+
+def _random_graph(rng, n, max_degree):
+    ids = [f"v{i}" for i in range(n)]
+    succ = {w: rng.sample(ids, rng.randint(1, max_degree)) for w in ids}
+    facts = {w: [x for x, share in (("p", 0.05), ("q", 0.6)) if rng.random() < share]
+             for w in ids}
+    return _graph_model(ids, succ, facts)
+
+
+def test_temporal_sets_match_rounds_on_fixtures():
+    for name in sorted(FIXTURES):
+        m = load_fixture(name)
+        _assert_temporal_sets_match(Evaluator(m), _operands(m))
+
+
+def test_temporal_sets_match_rounds_on_generated_models():
+    for seed in range(50):
+        m = generate_model(GenParams(seed=seed))
+        _assert_temporal_sets_match(Evaluator(m), _operands(m))
+
+
+def test_temporal_sets_match_rounds_on_chains():
+    for model in (_chain(300), _chain(300, loop_back=150), _chain(200, loop_back=0)):
+        _assert_temporal_sets_match(Evaluator(model), _operands(model, nested=False))
+
+
+def test_temporal_sets_match_rounds_on_random_graphs():
+    rng = random.Random(11)
+    for n, max_degree in ((300, 1), (300, 2), (400, 3)):
+        model = _random_graph(rng, n, max_degree)
+        _assert_temporal_sets_match(Evaluator(model), _operands(model))
+
+
+def test_af_over_world_sets_matches_rounds():
+    rng = random.Random(4)
+    for seed in range(10):
+        ev = Evaluator(generate_model(GenParams(seed=seed)))
+        succ = ev.m.succ
+        for _ in range(10):
+            s = frozenset(w for w in ev.worlds if rng.random() < 0.3)
+            want = lfp(lambda z: s | frozenset(w for w in ev.worlds if succ[w] <= z))
+            assert ev.af(s) == want

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from lao import formula as F
@@ -151,7 +155,7 @@ def test_oracle_agreement_on_rewired_graphs():
     # shape: arbitrary random total graphs with label discipline kept.
     import random
 
-    from lao.model import Model, Transition
+    from lao.model import Model, Transition, successor_maps
 
     for seed in range(15):
         base = generate_model(GenParams(seed=seed))
@@ -174,14 +178,14 @@ def test_oracle_agreement_on_rewired_graphs():
             Transition(src, dst, frozenset(labels))
             for (src, dst), labels in sorted(merged.items())
         )
+        succ, out = successor_maps(base.world_ids, transitions)
         m = Model(
             facts=base.facts, agents=base.agents, roles=base.roles,
             worlds=base.worlds, transitions=transitions,
             cap_c=base.cap_c, cap_cn=base.cap_cn, cap_cr=base.cap_cr,
             orgs=base.orgs, totality="self-loop", world_ids=base.world_ids,
             valuation=base.valuation,
-            succ={w: frozenset(t.dst for t in transitions if t.src == w) for w in base.world_ids},
-            out={w: tuple(t for t in transitions if t.src == w) for w in base.world_ids},
+            succ=succ, out=out,
         )
         assert validate_model(m) == []
         ev = Evaluator(m)
@@ -195,3 +199,27 @@ def test_congruence_rules_tested_or_trivial():
     rep = run_axiom_suite(load_fixture("gas0prime"))
     assert rep.results["R9"].instances > 0
     assert rep.results["R9"].passed
+
+
+def test_generated_models_do_not_depend_on_hash_seed():
+    seeds = list(range(12))
+    script = (
+        "import sys\n"
+        "from lao.verify import GenParams, generate_model\n"
+        "for s in map(int, sys.argv[1:]):\n"
+        "    print(generate_model(GenParams(seed=s)).digest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
+
+    def digests(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *map(str, seeds)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return done.stdout.split()
+
+    first = digests(1)
+    assert len(first) == len(seeds)
+    assert digests(2) == first
