@@ -128,7 +128,7 @@ def cmd_analyze(args):
     pool = None
     if args.pool:
         with open(args.pool, "r", encoding="utf-8") as fh:
-            pool = org_mod.load_pool(model, fh.read())
+            pool = org_mod.load_pool(fh.read())
     verdicts, labels = org_mod.analyze(model, args.org, pool)
     report["results"]["checks"] = {
         v.prop: {
@@ -163,7 +163,7 @@ def cmd_axioms(args):
         pool = None
         if args.pool:
             with open(args.pool, "r", encoding="utf-8") as fh:
-                pool = org_mod.load_pool(model, fh.read())
+                pool = org_mod.load_pool(fh.read())
         runs.append((model, pool, None))
     else:
         bounds = _parse_bounds(args.bounds) if args.bounds else {}

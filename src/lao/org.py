@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .model import InChargeAtom
-from .semantics import Evaluator, _nonempty_subsets
+from .semantics import Evaluator, nonempty_subsets
 
 CAP_KNOWLEDGE_PREFIX = "cap__"
 
@@ -54,7 +54,7 @@ def default_pool(model, org_id):
     return list(seen)
 
 
-def load_pool(model, text):
+def load_pool(text):
     """Parse a pool file: a JSON list of formula strings."""
     import json
 
@@ -93,7 +93,7 @@ def org_capability(ev, world, org_id, goal, witness=False):
     return True, frozenset(members)
 
 
-def check_structurally_well_defined(model, org_id, ev=None):
+def check_structurally_well_defined(model, org_id):
     """Every desired fact is some role's objective, at every world."""
     org = model.orgs[org_id]
     witnesses = []
@@ -148,7 +148,14 @@ def check_successful(model, org_id, pool, ev=None):
 
 def check_good(model, org_id, pool, ev=None):
     """Initiative-holding role groups can delegate along the dependency
-    order to role-enacting agents capable of the goal (Z = U allowed)."""
+    order to role-enacting agents capable of the goal (Z = U allowed).
+
+    The enactors of a larger U control more atoms, which split the atom
+    profile classes more finely, and the other-falsifier condition does
+    not depend on the holder, so their capability grows with U.  Hence
+    some allowed U works iff the largest does: every role at the world
+    below some role of Z.
+    """
     ev = ev or Evaluator(model)
     org = model.orgs[org_id]
     witnesses = []
@@ -158,27 +165,22 @@ def check_good(model, org_id, pool, ev=None):
         for w in model.world_ids:
             if not org_capability(ev, w, org_id, goal):
                 continue
-            roles_here = sorted(org.roles.get(w, frozenset()))
+            roles_here = org.roles.get(w, frozenset())
             rea_here = org.rea.get(w, frozenset())
-            for z in _nonempty_subsets(roles_here):
+            dep_here = org.dep.get(w, frozenset())
+            for z in nonempty_subsets(sorted(roles_here)):
                 zset = frozenset(z)
                 if not ev.eval(w, F.Initiative(zset, goal)):
                     continue
-                if not any(
-                    _delegation_target_ok(ev, org, w, zset, frozenset(u), rea_here, goal)
-                    for u in _nonempty_subsets(roles_here)
-                ):
-                    witnesses.append((w, F.fprint(goal), "{" + ",".join(sorted(z)) + "}"))
+                below = frozenset(q for (r, q) in dep_here if r in zset and q in roles_here)
+                if not _delegation_target_ok(ev, w, below, rea_here, goal):
+                    witnesses.append((w, F.fprint(goal), "{" + ",".join(z) + "}"))
     return _verdict(org_id, "good", witnesses)
 
 
-def _delegation_target_ok(ev, org, w, zset, uset, rea_here, goal):
-    if not ev._dep_groups(org, w, zset, uset):
-        return False
+def _delegation_target_ok(ev, w, uset, rea_here, goal):
     v = frozenset(a for (a, r) in rea_here if r in uset)
-    if not v:
-        return False
-    return ev.eval(w, F.Cap(F.ReaGroup(v, uset), goal))
+    return bool(v) and ev.eval(w, F.Cap(F.ReaGroup(v, uset), goal))
 
 
 def check_good_property(model, org_id, pool, ev=None):
@@ -202,7 +204,7 @@ def check_good_property(model, org_id, pool, ev=None):
     return _verdict(org_id, "good-property", witnesses)
 
 
-def check_delegation_closed(model, org_id, ev=None):
+def check_delegation_closed(model, org_id):
     """Dependent pairs carry the delegation capability atoms.
 
     Wherever dep(O,r,q) holds and r is in charge of some objective facts,
@@ -317,7 +319,7 @@ def eval_supervising_duty(model, world, org_id, z_roles, v_agents, u_roles, goal
 # Structural classification
 
 
-def classify_structure(model, org_id, ev=None):
+def classify_structure(model, org_id):
     """All structural classes whose defining condition holds at every world."""
     org = model.orgs[org_id]
     labels = set()
@@ -426,12 +428,12 @@ def analyze(model, org_id, pool=None, ev=None):
     ev = ev or Evaluator(model)
     pool = pool if pool is not None else default_pool(model, org_id)
     verdicts = [
-        check_structurally_well_defined(model, org_id, ev),
+        check_structurally_well_defined(model, org_id),
         check_well_defined(model, org_id, pool, ev),
         check_successful(model, org_id, pool, ev),
         check_good(model, org_id, pool, ev),
         check_good_property(model, org_id, pool, ev),
-        check_delegation_closed(model, org_id, ev),
+        check_delegation_closed(model, org_id),
         check_efficient(model, org_id, pool, ev),
     ]
-    return verdicts, classify_structure(model, org_id, ev)
+    return verdicts, classify_structure(model, org_id)

@@ -40,6 +40,15 @@ class Evaluator:
         self.world_set = frozenset(self.worlds)
         self._sat = {}
         self._atom_worlds = {}
+        # Agency memo: what Cap/Ability/Attempt read of a holder, interned,
+        # and their satisfying sets keyed on that and the goal's set.
+        self._profiles = {}
+        self._interned = {}
+        self._agency = {}
+        # Initiative: in-charge bodies per (org, roles, goal) and
+        # eventualities per (holder profile, bodies).
+        self._bodies = {}
+        self._eventually = {}
         for w in self.worlds:
             if not model.succ.get(w):
                 raise EvalError(f"world {w!r} has no successor; fix totality first")
@@ -146,8 +155,9 @@ class Evaluator:
             if klass[0] in target
         )
 
-    def _exists_other_falsifier(self, sat):
-        """Per-world test for 'some world w' != w falsifies phi'."""
+    def exists_other_falsifier(self, sat):
+        """Worlds w where some world w' != w falsifies a formula whose
+        satisfying set is `sat`."""
         complement = self.world_set - sat
         if len(complement) >= 2:
             return self.world_set
@@ -156,22 +166,66 @@ class Evaluator:
         (only,) = complement
         return self.world_set - {only}
 
+    def _profile(self, holder):
+        """What Cap, Ability and Attempt read of a holder, per world: its
+        control atoms and the successors of the transitions it influences.
+
+        Returns (cap id, agency id, atoms, reach).  Holders with the same
+        cap id have the same Cap for every goal, holders with the same
+        agency id also the same Ability and Attempt, so the memo in
+        `_agency` is shared between syntactically different holders.
+        """
+        got = self._profiles.get(holder)
+        if got is None:
+            atoms = tuple(self.controlled_atoms(w, holder) for w in self.worlds)
+            reach = tuple(
+                frozenset(t.dst for t in self.influence(w, holder)) for w in self.worlds
+            )
+            ids = self._interned
+            cap_id = ids.setdefault(atoms, len(ids))
+            agency_id = ids.setdefault((cap_id, reach), len(ids))
+            got = self._profiles[holder] = (cap_id, agency_id, atoms, reach)
+        return got
+
     def _cap_set(self, holder, sub_sat):
-        falsifiable_at = self._exists_other_falsifier(sub_sat)
-        out = set()
-        entail_memo = {}
-        for w in self.worlds:
-            if w not in falsifiable_at:
-                continue
-            atoms = self.controlled_atoms(w, holder)
-            key = atoms
-            got = entail_memo.get(key)
-            if got is None:
-                got = self.sigma_entails(atoms, sub_sat)
-                entail_memo[key] = got
-            if got:
-                out.add(w)
-        return frozenset(out)
+        cap_id, _, atoms, _ = self._profile(holder)
+        key = (F.Cap, cap_id, sub_sat)
+        got = self._agency.get(key)
+        if got is None:
+            falsifiable_at = self.exists_other_falsifier(sub_sat)
+            out = []
+            entail_memo = {}
+            for w, here in zip(self.worlds, atoms):
+                if w not in falsifiable_at:
+                    continue
+                entails = entail_memo.get(here)
+                if entails is None:
+                    entails = entail_memo[here] = self.sigma_entails(here, sub_sat)
+                if entails:
+                    out.append(w)
+            got = self._agency[key] = frozenset(out)
+        return got
+
+    def _acting_set(self, kind, holder, sub_sat):
+        """Ability (some influenced transition reaches the goal) or Attempt
+        (every influenced transition does, and there is one) within Cap."""
+        _, agency_id, _, reach = self._profile(holder)
+        key = (kind, agency_id, sub_sat)
+        got = self._agency.get(key)
+        if got is None:
+            cap = self._cap_set(holder, sub_sat)
+            if kind is F.Ability:
+                got = frozenset(
+                    w for w, dst in zip(self.worlds, reach)
+                    if w in cap and not dst.isdisjoint(sub_sat)
+                )
+            else:
+                got = frozenset(
+                    w for w, dst in zip(self.worlds, reach)
+                    if w in cap and dst and dst <= sub_sat
+                )
+            self._agency[key] = got
+        return got
 
     # -- satisfying sets -----------------------------------------------------
 
@@ -198,8 +252,7 @@ class Evaluator:
         if isinstance(f, F.FalseF):
             return frozenset()
         if isinstance(f, F.Atom):
-            if f.name not in m.facts:
-                raise EvalError(f"unknown fact {f.name!r}")
+            self._check_fact(f.name)
             return frozenset(w for w in self.worlds if f.name in m.valuation[w])
         if isinstance(f, F.Not):
             return W - self.sat(f.sub)
@@ -235,20 +288,8 @@ class Evaluator:
             return self._cap_set(f.holder, self.sat(f.sub))
         if isinstance(f, F.JointCap):
             return self._joint_cap(f.holder, self.sat(f.sub))
-        if isinstance(f, F.Ability):
-            cap = self.sat(F.Cap(f.holder, f.sub))
-            sub = self.sat(f.sub)
-            return frozenset(
-                w for w in cap
-                if any(t.dst in sub for t in self.influence(w, f.holder))
-            )
-        if isinstance(f, F.Attempt):
-            able = self.sat(F.Ability(f.holder, f.sub))
-            sub = self.sat(f.sub)
-            return frozenset(
-                w for w in able
-                if all(t.dst in sub for t in self.influence(w, f.holder))
-            )
+        if isinstance(f, (F.Ability, F.Attempt)):
+            return self._acting_set(type(f), f.holder, self.sat(f.sub))
         if isinstance(f, F.InControl):
             return frozenset(
                 w for w in self.worlds
@@ -281,6 +322,8 @@ class Evaluator:
         if isinstance(f, F.Know):
             org = self._org(f.org)
             lits = F.conjunct_literals(f.body)
+            for name, _pos in lits:
+                self._check_fact(name)
             out = []
             for w in self.worlds:
                 kp = org.know_plus.get(w, frozenset())
@@ -292,12 +335,16 @@ class Evaluator:
             org = self._org(f.org)
             self._check_role(f.role)
             need = set(F.conjunct_atoms(f.body))
+            for name in need:
+                self._check_fact(name)
             return frozenset(
                 w for w in self.worlds if need <= org.obj(f.role, w)
             )
         if isinstance(f, F.Desire):
             org = self._org(f.org)
             need = set(F.conjunct_atoms(f.body))
+            for name in need:
+                self._check_fact(name)
             return frozenset(
                 w for w in self.worlds if need <= org.desires.get(w, frozenset())
             )
@@ -318,6 +365,10 @@ class Evaluator:
     def _check_role(self, r):
         if r not in self.m.roles:
             raise EvalError(f"unknown role {r!r}")
+
+    def _check_fact(self, name):
+        if name not in self.m.facts:
+            raise EvalError(f"unknown fact {name!r}")
 
     def _ax(self, s):
         return frozenset(w for w in self.worlds if self.m.succ[w] <= s)
@@ -407,57 +458,88 @@ class Evaluator:
         The in-charge disjuncts are expanded at the evaluation world from
         the roles the organization has there; bodies that are not positive
         conjunctions cannot appear under incharge, so for those only the
-        direct attempt disjunct remains.
+        direct attempt disjunct remains.  Everything but the evaluation
+        world itself depends on the organization's roles and enactors
+        there, so worlds that agree on them are decided together.
         """
         for r in roles:
             self._check_role(r)
         out = set()
-        positive = F.is_positive_conjunction(sub)
-        for w in self.worlds:
-            if any(
-                self._initiative_here(org, w, roles, sub, positive)
-                for org in self.m.orgs.values()
-            ):
-                out.add(w)
+        for org in self.m.orgs.values():
+            alike = {}
+            for w in self.worlds:
+                roles_here = org.roles.get(w, frozenset())
+                if roles <= roles_here:
+                    key = (roles_here, org.rea.get(w, frozenset()))
+                    alike.setdefault(key, set()).add(w)
+            for (roles_here, rea_here), worlds in alike.items():
+                todo = worlds - out
+                if todo:
+                    out |= self._initiative_among(org, roles_here, rea_here, roles, sub, todo)
         return frozenset(out)
 
-    def _initiative_here(self, org, w, roles, sub, positive):
-        roles_here = org.roles.get(w, frozenset())
-        rea_here = org.rea.get(w, frozenset())
-        if not roles <= roles_here:
-            return False
-        if len(roles) == 1:
-            (r,) = roles
-            players = sorted(a for (a, rr) in rea_here if rr == r)
-            for a in players:
-                disjuncts = [F.Attempt(F.ReaSingle(a, r), sub)]
-                if positive:
-                    for q in sorted(roles_here):
-                        disjuncts.append(
-                            F.Attempt(F.ReaSingle(a, r), F.InCharge(org.id, q, sub))
-                        )
-                goal = F.AF(_disjoin(disjuncts))
-                if w in self.sat(goal):
-                    return True
-            return False
-        eligible = sorted(
-            {a for (a, rr) in rea_here if rr in roles}
-        )
-        holder_roles = frozenset(roles)
-        for k in range(1, len(eligible) + 1):
-            for combo in itertools.combinations(eligible, k):
-                group = F.ReaGroup(frozenset(combo), holder_roles)
-                disjuncts = [F.Attempt(group, sub)]
-                if positive:
-                    for zset in _nonempty_subsets(sorted(roles_here)):
-                        body = F.conjoin(
-                            [F.InCharge(org.id, q, sub) for q in zset]
-                        )
-                        disjuncts.append(F.Attempt(group, body))
-                goal = F.AF(_disjoin(disjuncts))
-                if w in self.sat(goal):
-                    return True
-        return False
+    def _initiative_among(self, org, roles_here, rea_here, roles, sub, todo):
+        """The worlds of `todo` (all with these roles and enactors) where
+        some enacting holder eventually attempts one of the bodies.
+
+        A single role is held by each of its enactors, a role group by
+        every non-empty set of its enactors.  Attempt is not monotone in
+        the group, so every set is tried, but holders with one agency
+        profile attempt the same and are asked once.
+        """
+        if len(roles) > 1:
+            eligible = sorted({a for (a, r) in rea_here if r in roles})
+            holders = [F.ReaGroup(frozenset(c), roles) for c in nonempty_subsets(eligible)]
+        else:
+            (role,) = roles
+            players = sorted(a for (a, r) in rea_here if r == role)
+            holders = [F.ReaSingle(a, role) for a in players]
+        found = set()
+        if not holders:
+            return found
+        bodies_id, bodies = self._charge_bodies(org, roles_here, sub)
+        asked = set()
+        for holder in holders:
+            agency_id = self._profile(holder)[1]
+            if agency_id in asked:
+                continue
+            asked.add(agency_id)
+            key = (agency_id, bodies_id)
+            got = self._eventually.get(key)
+            if got is None:
+                goal = F.AF(_disjoin([F.Attempt(holder, b) for b in bodies]))
+                got = self._eventually[key] = self.sat(goal)
+            found |= todo & got
+            if found == todo:
+                break
+        return found
+
+    def _charge_bodies(self, org, roles_here, sub):
+        """The goals an initiative disjunct attempts: `sub` and, for a
+        positive conjunction, putting a role of `roles_here` in charge of
+        it.  Returns (an id for the memo, the bodies).
+
+        Attempt reads its goal only through the goal's satisfying set, and
+        an empty set gives an empty Cap, so one body is kept per distinct
+        non-empty satisfying set.  A role group may also put several roles
+        in charge at once, but that adds nothing: the goal's set is the
+        intersection X of the single roles' sets A, B, ..., a world other
+        than w that falsifies X falsifies one of them, and Cap, Ability
+        and Attempt otherwise only grow with the goal's set, so an attempt
+        at X is an attempt at A or at B at the same world.
+        """
+        key = (org.id, roles_here, sub)
+        got = self._bodies.get(key)
+        if got is None:
+            kept = {self.sat(sub): sub}
+            if F.is_positive_conjunction(sub):
+                for q in sorted(roles_here):
+                    body = F.InCharge(org.id, q, sub)
+                    here = self.sat(body)
+                    if here:
+                        kept.setdefault(here, body)
+            got = self._bodies[key] = (len(self._bodies), tuple(kept.values()))
+        return got
 
 
 def _disjoin(parts):
@@ -467,7 +549,9 @@ def _disjoin(parts):
     return out
 
 
-def _nonempty_subsets(items):
+def nonempty_subsets(items):
+    """Non-empty subsets of `items` as tuples, smallest first, in
+    combination order."""
     for k in range(1, len(items) + 1):
         yield from itertools.combinations(items, k)
 

@@ -8,7 +8,9 @@ import pytest
 
 from lao import formula as F
 from lao import load_model
+from lao import org as O
 from lao.fixtures import fixture_text
+from lao.semantics import Evaluator, nonempty_subsets
 
 
 def sigma_brute_force(ev, atoms, target):
@@ -91,6 +93,215 @@ def temporal_by_rounds(ev, f):
     if isinstance(f, F.EG):
         return gfp(lambda z: s & ex(z), W)
     raise TypeError(f"not a CTL operator: {f!r}")
+
+
+class EnumeratingEvaluator(Evaluator):
+    """Agency by its definitions, holder by holder, and initiative by
+    listing every enactor set and every in-charge role set at each world.
+
+    This is how the engine computed them before agency was memoized on
+    what it reads and initiative on distinct questions; organization
+    checks run on it are the reference the engine is compared with.
+    """
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.entails = {}
+        self.atoms = {}
+
+    def controlled_atoms(self, world, holder):
+        key = (world, holder)
+        if key not in self.atoms:
+            self.atoms[key] = super().controlled_atoms(world, holder)
+        return self.atoms[key]
+
+    def cap_by_definition(self, holder, target):
+        """Cap, world by world: some other world falsifies the goal and
+        the holder's control atoms there support it."""
+        out = []
+        for w in self.worlds:
+            if not any(v != w and v not in target for v in self.worlds):
+                continue
+            key = (self.controlled_atoms(w, holder), target)
+            if key not in self.entails:
+                self.entails[key] = self.sigma_entails(*key)
+            if self.entails[key]:
+                out.append(w)
+        return frozenset(out)
+
+    def _compute(self, f):
+        if isinstance(f, (F.Cap, F.Ability, F.Attempt)):
+            self._check_holder(f.holder)
+            sub = self.sat(f.sub)
+            out = self.cap_by_definition(f.holder, sub)
+            if isinstance(f, F.Cap):
+                return out
+            dsts = {w: [t.dst for t in self.influence(w, f.holder)] for w in out}
+            out = frozenset(w for w in out if any(d in sub for d in dsts[w]))
+            if isinstance(f, F.Ability):
+                return out
+            return frozenset(w for w in out if all(d in sub for d in dsts[w]))
+        if isinstance(f, F.Initiative):
+            return initiative_by_enumeration(self, f.roles, f.sub)
+        return super()._compute(f)
+
+
+def initiative_by_enumeration(ev, roles, sub):
+    """Initiative at each world: some enactor (one role) or enactor set
+    (a role group) eventually attempts the goal or attempts putting a
+    role (a role set, for a group) of the organization there in charge
+    of it.  The eventuality is the AF fixpoint by rounds."""
+    positive = F.is_positive_conjunction(sub)
+
+    def ax(s):
+        return frozenset(w for w in ev.worlds if ev.m.succ[w] <= s)
+
+    def holds_at(org, w):
+        roles_here = org.roles.get(w, frozenset())
+        rea_here = org.rea.get(w, frozenset())
+        if not roles <= roles_here:
+            return False
+        if len(roles) == 1:
+            (r,) = roles
+            holders = [F.ReaSingle(a, r) for a in sorted(a for (a, q) in rea_here if q == r)]
+            charges = [(q,) for q in sorted(roles_here)]
+        else:
+            eligible = sorted({a for (a, q) in rea_here if q in roles})
+            holders = [F.ReaGroup(frozenset(c), roles) for c in nonempty_subsets(eligible)]
+            charges = list(nonempty_subsets(sorted(roles_here)))
+        bodies = [sub]
+        if positive:
+            bodies += [F.conjoin([F.InCharge(org.id, q, sub) for q in z]) for z in charges]
+        for h in holders:
+            attempts = frozenset().union(*(ev.sat(F.Attempt(h, b)) for b in bodies))
+            if w in lfp(lambda z: attempts | ax(z)):
+                return True
+        return False
+
+    return frozenset(
+        w for w in ev.worlds if any(holds_at(org, w) for org in ev.m.orgs.values())
+    )
+
+
+def check_good_by_enumeration(model, org_id, pool, ev):
+    """`good` trying every role set U below Z as the delegation target."""
+    org = model.orgs[org_id]
+    witnesses = []
+    for goal in pool:
+        if not F.is_positive_conjunction(goal):
+            continue
+        for w in model.world_ids:
+            if not O.org_capability(ev, w, org_id, goal):
+                continue
+            roles_here = sorted(org.roles.get(w, frozenset()))
+            rea_here = org.rea.get(w, frozenset())
+            dep_here = org.dep.get(w, frozenset())
+            for z in nonempty_subsets(roles_here):
+                if not ev.eval(w, F.Initiative(frozenset(z), goal)):
+                    continue
+                ok = False
+                for u in nonempty_subsets(roles_here):
+                    if not all(any((r, q) in dep_here for r in z) for q in u):
+                        continue
+                    v = frozenset(a for (a, r) in rea_here if r in u)
+                    if v and ev.eval(w, F.Cap(F.ReaGroup(v, frozenset(u)), goal)):
+                        ok = True
+                        break
+                if not ok:
+                    witnesses.append((w, F.fprint(goal), "{" + ",".join(z) + "}"))
+    witnesses = tuple(sorted(set(witnesses)))
+    return O.OrgVerdict(org_id, "good", not witnesses, witnesses)
+
+
+def analyze_by_enumeration(model, org_id, pool=None, ev=None):
+    """`analyze` with every check on an EnumeratingEvaluator and `good`
+    by `check_good_by_enumeration`."""
+    ev = ev or EnumeratingEvaluator(model)
+    pool = pool if pool is not None else O.default_pool(model, org_id)
+    verdicts, labels = O.analyze(model, org_id, pool, ev)
+    verdicts = [
+        check_good_by_enumeration(model, org_id, pool, ev) if v.prop == "good" else v
+        for v in verdicts
+    ]
+    return verdicts, labels
+
+
+def random_org_doc(seed):
+    """A small organization model with non-vacuous organizational content.
+
+    2-4 roles with one to three enactors each; roles, enactors,
+    dependencies, desires and objectives vary by world; dependencies give
+    roles several managers; agents hold plain and in-charge control atoms,
+    some role-specific; some capabilities are organizational knowledge;
+    about a third of the models add a second organization.
+    """
+    rng = random.Random(seed)
+    roles = [f"r{i}" for i in range(rng.choice((2, 2, 3, 3, 4)))]
+    agents = [f"a{i}" for i in range(rng.randint(2, 4))]
+    base = [f"f{i}" for i in range(rng.randint(2, 3))]
+    worlds = [f"w{i}" for i in range(rng.randint(3, 4))]
+    know = [O.cap_knowledge_fact(rng.choice(agents), rng.choice(roles), base[0])]
+    facts = base + know
+
+    def some(items, lo, hi):
+        return sorted(rng.sample(items, rng.randint(lo, min(hi, len(items)))))
+
+    def org(oid, org_roles):
+        at = {w: some(org_roles, max(1, len(org_roles) - 1), len(org_roles)) for w in worlds}
+        rea = {
+            w: sorted([a, r] for r in at[w] for a in some(agents, 1, 3)) for w in worlds
+        }
+        dep = {
+            w: sorted([p, q] for q in at[w] for p in at[w] if p != q and rng.random() < 0.45)
+            for w in worlds
+        }
+        objectives = {
+            r: {"default": some(base, 0, 2), "at": {w: some(base, 0, 2) for w in worlds if rng.random() < 0.4}}
+            for r in org_roles
+        }
+        return {
+            "id": oid,
+            "members": {"at": {w: sorted({a for a, _r in rea[w]}) for w in worlds}},
+            "roles": {"at": at},
+            "rea": {"at": rea},
+            "dep": {"at": dep},
+            "desires": {"default": some(base, 1, 2), "at": {worlds[0]: some(base, 0, 2)}},
+            "objectives": objectives,
+            "knowPlus": {"at": {w: know for w in worlds if rng.random() < 0.5}},
+        }
+
+    orgs = [org("O", roles)]
+    if rng.random() < 0.35:
+        orgs.append(org("P", some(roles, 1, 2)))
+
+    def atoms():
+        out = some(base, 0, 2)
+        for _ in range(rng.randint(0, 3)):
+            out.append({"incharge": {"org": rng.choice(orgs)["id"], "role": rng.choice(roles),
+                                     "fact": rng.choice(base)}})
+        return out
+
+    cr = {}
+    for o in orgs:
+        for w, pairs in o["rea"]["at"].items():
+            for a, r in pairs:
+                if rng.random() < 0.15 and f"{a}:{r}" not in cr:
+                    cr[f"{a}:{r}"] = atoms()
+    transitions = []
+    for w in worlds:
+        pairs = sorted({tuple(p) for o in orgs for p in o["rea"]["at"][w]})
+        for v in rng.sample(worlds, rng.randint(1, 3)):
+            labels = [list(p) for p in pairs if rng.random() < 0.5]
+            transitions.append({"from": w, "to": v, "labels": labels})
+    return {
+        "facts": facts,
+        "agents": agents,
+        "roles": roles,
+        "worlds": [{"id": w, "facts": some(facts, 0, len(facts))} for w in worlds],
+        "transitions": transitions,
+        "capabilities": {"c": {a: {"default": atoms()} for a in agents}, "cr": cr},
+        "orgs": orgs,
+    }
 
 
 def fixture_doc(name):

@@ -183,3 +183,16 @@ def test_malformed_model_exits_two_without_traceback(tmp_path, capsys, doc):
 def test_check_unknown_capability_holder_exits_two(capsys, formula, message):
     assert main(["check", fixture_path("fig1"), "-f", formula]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula", [
+    "desire(Ogas, zz) | know(Ogas, zz) | incharge(Ogas, trader, zz)",
+    "desire(Ogas, buy_gas & zz)",
+    "know(Ogas, !zz)",
+    "incharge(Ogas, trader, zz)",
+])
+def test_check_unknown_fact_exits_two(capsys, formula):
+    assert main(["check", "gas0", "-f", formula]) == 2
+    err = capsys.readouterr().err
+    assert "unknown fact 'zz'" in err
+    assert "Traceback" not in err

@@ -482,7 +482,7 @@ def test_successful_implies_well_defined_on_corpus():
             assert O.check_well_defined(m, oid, pool).holds
 
 
-def test_load_pool_parses_formula_strings(gas0):
-    pool = O.load_pool(gas0, '["provide_gas", "buy_gas & transport_gas"]')
+def test_load_pool_parses_formula_strings():
+    pool = O.load_pool('["provide_gas", "buy_gas & transport_gas"]')
     assert pool[0] == F.Atom("provide_gas")
     assert isinstance(pool[1], F.And)
