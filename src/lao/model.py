@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class ModelError(Exception):
@@ -66,20 +66,85 @@ class OrgStructure:
 
 @dataclass(frozen=True)
 class Model:
+    """A total Kripke model whose transition labels are licensed by rea.
+
+    Built from primary data only.  The constructor merges the labels of
+    transitions with the same endpoints, orders transitions by (src, dst),
+    applies the totality policy to worlds without an outgoing transition
+    and derives the fields below `totality`.  It raises ModelError on a
+    transition between unknown worlds, on an unknown totality policy, on
+    a sink world under "error" and on a label (agent, role) that no
+    organization enacts at the transition's source.  So every Model is
+    total and label-sound, and `dataclasses.replace` re-derives the rest.
+    """
+
     facts: frozenset
     agents: frozenset
     roles: frozenset
     worlds: tuple  # of World, in file order
-    transitions: tuple  # of Transition, merged per (src, dst)
+    transitions: tuple  # of Transition, merged per (src, dst) on construction
     cap_c: dict  # agent -> world -> frozenset[ControlAtom]
     cap_cn: dict  # role -> world -> frozenset[ControlAtom]
     cap_cr: dict  # (agent, role) -> world -> frozenset[ControlAtom]
     orgs: dict  # org id -> OrgStructure
     totality: str  # "error" or "self-loop"
-    world_ids: tuple = field(default=())
-    valuation: dict = field(default_factory=dict)  # world -> frozenset[fact]
-    succ: dict = field(default_factory=dict)  # world -> frozenset[world]
-    out: dict = field(default_factory=dict)  # world -> tuple[Transition]
+    world_ids: tuple = field(init=False)
+    valuation: dict = field(init=False)  # world -> frozenset[fact]
+    succ: dict = field(init=False)  # world -> frozenset[world]
+    out: dict = field(init=False)  # world -> tuple[Transition]
+    rea_union: dict = field(init=False)  # world -> frozenset[(agent, role)], all orgs
+
+    def __post_init__(self):
+        world_ids = tuple(w.id for w in self.worlds)
+        out = {w: [] for w in world_ids}
+        merged = {}
+        for t in self.transitions:
+            if t.src not in out:
+                raise ModelError(f"transition from unknown world {t.src!r}")
+            if t.dst not in out:
+                raise ModelError(f"transition to unknown world {t.dst!r}")
+            merged.setdefault((t.src, t.dst), []).append(t)
+        if self.totality not in ("error", "self-loop"):
+            raise ModelError(f"config.totality must be 'error' or 'self-loop', got {self.totality!r}")
+        has_out = {src for (src, _dst) in merged}
+        sinks = [w for w in world_ids if w not in has_out]
+        if sinks and self.totality == "error":
+            raise ModelError(
+                f"totality violated: worlds {sinks} have no outgoing transition "
+                "(set config.totality to 'self-loop' to add unlabeled loops)"
+            )
+        for w in sinks:
+            merged[(w, w)] = [Transition(w, w, frozenset())]
+        transitions = tuple(
+            ts[0] if len(ts) == 1 else Transition(src, dst, frozenset().union(*(t.labels for t in ts)))
+            for (src, dst), ts in sorted(merged.items())
+        )
+        # One set per distinct union, shared by the worlds that have it.
+        rea_union, distinct = {}, {}
+        for w in world_ids:
+            union = frozenset().union(*(o.rea.get(w, ()) for o in self.orgs.values()))
+            rea_union[w] = distinct.setdefault(union, union)
+        for t in transitions:
+            out[t.src].append(t)
+            for (a, r) in t.labels:
+                # A label outside every rea relation names an act nobody
+                # may perform.
+                if (a, r) not in rea_union[t.src]:
+                    raise ModelError(
+                        f"label without rea: transition {t.src}->{t.dst} carries "
+                        f"({a},{r}) but no organization has rea({t.src},{a},{r})"
+                    )
+        out = {w: tuple(ts) for w, ts in out.items()}
+        derived = {
+            "transitions": transitions,
+            "world_ids": world_ids,
+            "valuation": {w.id: w.facts for w in self.worlds},
+            "succ": {w: frozenset(t.dst for t in ts) for w, ts in out.items()},
+            "out": out,
+            "rea_union": rea_union,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def c(self, agent, world):
         return self.cap_c.get(agent, {}).get(world, frozenset())
@@ -98,7 +163,7 @@ class Model:
 
     def rea_any(self, world, agent, role):
         """True iff some organization has agent enacting role at world."""
-        return any((agent, role) in o.rea.get(world, ()) for o in self.orgs.values())
+        return (agent, role) in self.rea_union.get(world, ())
 
     def atom_true(self, atom, world):
         if isinstance(atom, InChargeAtom):
@@ -186,20 +251,6 @@ def reflexive_transitive_closure(pairs, domain):
     return frozenset(closed)
 
 
-def successor_maps(world_ids, transitions):
-    """`(succ, out)` in one pass over the transitions.
-
-    `out[w]` keeps the transitions leaving `w` in their order in
-    `transitions`, and both maps list the worlds in `world_ids` order.
-    """
-    out = {w: [] for w in world_ids}
-    for t in transitions:
-        out[t.src].append(t)
-    out = {w: tuple(ts) for w, ts in out.items()}
-    succ = {w: frozenset(t.dst for t in ts) for w, ts in out.items()}
-    return succ, out
-
-
 def _check_shape(doc):
     """Reject JSON of the wrong shape before any field is used."""
 
@@ -265,8 +316,9 @@ def load_model(source):
     """Parse model JSON text into a validated-on-load Model.
 
     Raises ModelError on syntax errors (with line/position), malformed
-    JSON shapes, unknown identifier references, duplicate ids, and
-    totality violations under the "error" policy.
+    JSON shapes, unknown identifier references and duplicate ids, and
+    through the Model constructor on totality violations under the
+    "error" policy and on labels without rea.
     """
     try:
         doc = json.loads(source)
@@ -303,10 +355,11 @@ def load_model(source):
         worlds.append(World(w["id"], wfacts))
     world_ids = tuple(w.id for w in worlds)
     world_id_set = set(world_ids)
+    org_ids = {o.get("id") for o in doc.get("orgs", [])}
 
     def check_atom(atom, where):
         if isinstance(atom, InChargeAtom):
-            if atom.org not in {o.get("id") for o in doc.get("orgs", [])}:
+            if atom.org not in org_ids:
                 raise ModelError(f"{where}: incharge atom names unknown org {atom.org!r}")
             if atom.role not in role_set:
                 raise ModelError(f"{where}: incharge atom names unknown role {atom.role!r}")
@@ -434,22 +487,8 @@ def load_model(source):
             oid, members, oroles, rea, dep, desires, objectives, know_plus, know_minus
         )
 
-    # Re-check incharge atoms now that orgs are known (two-phase because the
-    # first pass only saw raw org dicts).
-    for holder_map in (cap_c, cap_cn):
-        for per_world_map in holder_map.values():
-            for w, atom_set in per_world_map.items():
-                for a in atom_set:
-                    if isinstance(a, InChargeAtom) and a.org not in orgs:
-                        raise ModelError(f"incharge atom names unknown org {a.org!r}")
-
-    merged = {}
+    transitions = []
     for raw in doc.get("transitions", []):
-        src, dst = raw.get("from"), raw.get("to")
-        if src not in world_id_set:
-            raise ModelError(f"transition from unknown world {src!r}")
-        if dst not in world_id_set:
-            raise ModelError(f"transition to unknown world {dst!r}")
         labels = set()
         for lab in raw.get("labels", []):
             if isinstance(lab, dict):
@@ -461,29 +500,9 @@ def load_model(source):
             if r not in role_set:
                 raise ModelError(f"transition label names unknown role {r!r}")
             labels.add((a, r))
-        merged.setdefault((src, dst), set()).update(labels)
+        transitions.append(Transition(raw.get("from"), raw.get("to"), frozenset(labels)))
 
-    totality = doc.get("config", {}).get("totality", "error")
-    if totality not in ("error", "self-loop"):
-        raise ModelError(f"config.totality must be 'error' or 'self-loop', got {totality!r}")
-    has_out = {src for (src, _dst) in merged}
-    sinks = [w for w in world_ids if w not in has_out]
-    if sinks:
-        if totality == "error":
-            raise ModelError(
-                f"totality violated: worlds {sinks} have no outgoing transition "
-                "(set config.totality to 'self-loop' to add unlabeled loops)"
-            )
-        for w in sinks:
-            merged[(w, w)] = set()
-
-    transitions = tuple(
-        Transition(src, dst, frozenset(labels))
-        for (src, dst), labels in sorted(merged.items())
-    )
-    succ, out = successor_maps(world_ids, transitions)
-
-    model = Model(
+    return Model(
         facts=fact_set,
         agents=agent_set,
         roles=role_set,
@@ -493,23 +512,8 @@ def load_model(source):
         cap_cn=cap_cn,
         cap_cr=cap_cr,
         orgs=orgs,
-        totality=totality,
-        world_ids=world_ids,
-        valuation={w.id: w.facts for w in worlds},
-        succ=succ,
-        out=out,
+        totality=doc.get("config", {}).get("totality", "error"),
     )
-
-    # Label soundness is a hard load error: a label outside every rea
-    # relation names an act nobody may perform.
-    for t in transitions:
-        for (a, r) in t.labels:
-            if not model.rea_any(t.src, a, r):
-                raise ModelError(
-                    f"label without rea: transition {t.src}->{t.dst} carries "
-                    f"({a},{r}) but no organization has rea({t.src},{a},{r})"
-                )
-    return model
 
 
 def load_model_file(path):
@@ -522,17 +526,10 @@ def load_model_file(path):
 
 
 def validate_model(model):
-    """Check every structural invariant; returns a list of Violations."""
+    """Check the structural invariants the Model constructor does not
+    enforce (it enforces totality and label soundness); returns a list of
+    Violations."""
     out = []
-    for w in model.world_ids:
-        if not model.succ.get(w):
-            out.append(Violation("Totality", w, "world has no outgoing transition"))
-    for t in model.transitions:
-        for (a, r) in t.labels:
-            if not model.rea_any(t.src, a, r):
-                out.append(
-                    Violation("LabelSoundness", t.src, f"label ({a},{r}) without rea")
-                )
     for org in model.orgs.values():
         for w in model.world_ids:
             roles_w = org.roles.get(w, frozenset())
@@ -613,32 +610,13 @@ def close_dependencies(model):
 
     Idempotent; returns a new Model sharing everything else.
     """
-    new_orgs = {}
-    for oid, org in model.orgs.items():
-        new_dep = {
+    return replace(model, orgs={
+        oid: replace(org, dep={
             w: reflexive_transitive_closure(org.dep.get(w, frozenset()), org.roles.get(w, frozenset()))
             for w in model.world_ids
-        }
-        new_orgs[oid] = OrgStructure(
-            org.id, org.members, org.roles, org.rea, new_dep,
-            org.desires, org.objectives, org.know_plus, org.know_minus,
-        )
-    return Model(
-        facts=model.facts,
-        agents=model.agents,
-        roles=model.roles,
-        worlds=model.worlds,
-        transitions=model.transitions,
-        cap_c=model.cap_c,
-        cap_cn=model.cap_cn,
-        cap_cr=model.cap_cr,
-        orgs=new_orgs,
-        totality=model.totality,
-        world_ids=model.world_ids,
-        valuation=model.valuation,
-        succ=model.succ,
-        out=model.out,
-    )
+        })
+        for oid, org in model.orgs.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +631,13 @@ def _atom_json(a):
 
 def _atom_key(a):
     return json.dumps(_atom_json(a), sort_keys=True)
+
+
+def _capabilities_json(caps, key=str):
+    return {
+        key(holder): {w: sorted((_atom_json(x) for x in per_w[w]), key=json.dumps) for w in sorted(per_w)}
+        for holder, per_w in sorted(caps.items())
+    }
 
 
 def canonical_dict(model):
@@ -671,18 +656,9 @@ def canonical_dict(model):
             for t in model.transitions
         ],
         "capabilities": {
-            "c": {
-                a: {w: sorted((_atom_json(x) for x in per_w[w]), key=json.dumps) for w in sorted(per_w)}
-                for a, per_w in sorted(model.cap_c.items())
-            },
-            "cn": {
-                r: {w: sorted((_atom_json(x) for x in per_w[w]), key=json.dumps) for w in sorted(per_w)}
-                for r, per_w in sorted(model.cap_cn.items())
-            },
-            "cr": {
-                f"{a}:{r}": {w: sorted((_atom_json(x) for x in per_w[w]), key=json.dumps) for w in sorted(per_w)}
-                for (a, r), per_w in sorted(model.cap_cr.items())
-            },
+            "c": _capabilities_json(model.cap_c),
+            "cn": _capabilities_json(model.cap_cn),
+            "cr": _capabilities_json(model.cap_cr, key=":".join),
         },
         "orgs": [
             {

@@ -61,6 +61,9 @@ def load_pool(text):
     raw = json.loads(text)
     if not isinstance(raw, list):
         raise ValueError("pool file must be a JSON list of formula strings")
+    for i, s in enumerate(raw):
+        if not isinstance(s, str):
+            raise ValueError(f"pool entry {i} must be a formula string, got {s!r}")
     return [F.parse(s) for s in raw]
 
 
@@ -338,7 +341,7 @@ def classify_structure(model, org_id):
 
 
 def _all_worlds(model, org, pred):
-    return all(pred(model, org, w) for w in model.world_ids)
+    return all(pred(org, w) for w in model.world_ids)
 
 
 def _managers_at(org, w):
@@ -349,7 +352,7 @@ def _managers_at(org, w):
     )
 
 
-def _is_hierarchy_at(model, org, w):
+def _is_hierarchy_at(org, w):
     roles = org.roles.get(w, frozenset())
     desires = org.desires.get(w, frozenset())
     dep = org.dep.get(w, frozenset())
@@ -370,7 +373,7 @@ def _is_hierarchy_at(model, org, w):
     )
 
 
-def _is_flat_hierarchy_at(model, org, w):
+def _is_flat_hierarchy_at(org, w):
     roles = org.roles.get(w, frozenset())
     desires = org.desires.get(w, frozenset())
     dep = org.dep.get(w, frozenset())
@@ -397,7 +400,7 @@ def _is_flat_hierarchy_at(model, org, w):
     return False
 
 
-def _is_network_at(model, org, w):
+def _is_network_at(org, w):
     roles = org.roles.get(w, frozenset())
     desires = org.desires.get(w, frozenset())
     dep = org.dep.get(w, frozenset())
@@ -410,13 +413,13 @@ def _is_network_at(model, org, w):
     return all(any((r, s) in dep for s in roles) for r in roles)
 
 
-def _is_fully_connected_at(model, org, w):
+def _is_fully_connected_at(org, w):
     roles = org.roles.get(w, frozenset())
     dep = org.dep.get(w, frozenset())
     return all((r, s) in dep for r in roles for s in roles)
 
 
-def _is_symmetric_at(model, org, w):
+def _is_symmetric_at(org, w):
     dep = org.dep.get(w, frozenset())
     return all((s, r) in dep for (r, s) in dep)
 

@@ -22,7 +22,7 @@ from .model import InChargeAtom
 
 
 class EvalError(Exception):
-    """Unknown identifier or structurally unusable model."""
+    """Unknown identifier in a formula or query."""
 
 
 class Evaluator:
@@ -49,9 +49,6 @@ class Evaluator:
         # eventualities per (holder profile, bodies).
         self._bodies = {}
         self._eventually = {}
-        for w in self.worlds:
-            if not model.succ.get(w):
-                raise EvalError(f"world {w!r} has no successor; fix totality first")
         self._pred = {w: [] for w in self.worlds}
         for w in self.worlds:
             for v in model.succ[w]:
@@ -464,6 +461,8 @@ class Evaluator:
         """
         for r in roles:
             self._check_role(r)
+        # Checks the goal's identifiers even where no holder reaches it.
+        self.sat(sub)
         out = set()
         for org in self.m.orgs.values():
             alike = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import formula as F
 from .model import (
     InChargeAtom, Model, OrgStructure, Transition, World,
-    reflexive_transitive_closure, successor_maps, validate_model,
+    reflexive_transitive_closure, validate_model,
 )
 from .semantics import Evaluator
 
@@ -116,7 +116,7 @@ def generate_model(params):
                 for a in actors:
                     for r in played_by[a]:
                         labels.add((a, r))
-            transitions.append((w, dst, frozenset(labels)))
+            transitions.append(Transition(w, dst, frozenset(labels)))
 
     cap_c = {}
     all_facts = frozenset(facts)
@@ -152,29 +152,17 @@ def generate_model(params):
         know_minus=km,
     )
 
-    merged = {}
-    for (src, dst, labels) in transitions:
-        merged.setdefault((src, dst), set()).update(labels)
-    trans = tuple(
-        Transition(src, dst, frozenset(labels))
-        for (src, dst), labels in sorted(merged.items())
-    )
-    succ, out = successor_maps(world_ids, trans)
     model = Model(
         facts=frozenset(facts),
         agents=frozenset(agents),
         roles=frozenset(roles),
         worlds=tuple(World(w, frozenset(valuations[w])) for w in world_ids),
-        transitions=trans,
+        transitions=transitions,
         cap_c=cap_c,
         cap_cn={r: {w: frozenset() for w in world_ids} for r in roles},
         cap_cr={},
         orgs={"org0": org},
         totality="self-loop",
-        world_ids=tuple(world_ids),
-        valuation={w: frozenset(valuations[w]) for w in world_ids},
-        succ=succ,
-        out=out,
     )
     violations = validate_model(model)
     if violations:

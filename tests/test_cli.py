@@ -185,14 +185,44 @@ def test_check_unknown_capability_holder_exits_two(capsys, formula, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("formula", [
-    "desire(Ogas, zz) | know(Ogas, zz) | incharge(Ogas, trader, zz)",
-    "desire(Ogas, buy_gas & zz)",
-    "know(Ogas, !zz)",
-    "incharge(Ogas, trader, zz)",
+# No organization has an enactor of q, so no holder reaches the goal.
+UNENACTED_ROLE = {
+    "facts": ["p"], "agents": ["a"], "roles": ["r", "q"],
+    "worlds": [{"id": "w0", "facts": []}, {"id": "w1", "facts": ["p"]}],
+    "transitions": [{"from": "w0", "to": "w1", "labels": []}],
+    "orgs": [{"id": "O", "members": ["a"], "roles": ["r", "q"], "rea": [["a", "r"]]}],
+    "config": {"totality": "self-loop"},
+}
+
+
+@pytest.mark.parametrize("model, formula", [
+    pytest.param(model, formula, id=formula) for model, formula in [
+        ("gas0", "desire(Ogas, zz) | know(Ogas, zz) | incharge(Ogas, trader, zz)"),
+        ("gas0", "desire(Ogas, buy_gas & zz)"),
+        ("gas0", "know(Ogas, !zz)"),
+        ("gas0", "incharge(Ogas, trader, zz)"),
+        (UNENACTED_ROLE, "I[q] zz"),
+    ]
 ])
-def test_check_unknown_fact_exits_two(capsys, formula):
-    assert main(["check", "gas0", "-f", formula]) == 2
+def test_check_unknown_fact_exits_two(tmp_path, capsys, model, formula):
+    if isinstance(model, dict):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        model = str(path)
+    assert main(["check", model, "-f", formula, "--all"]) == 2
     err = capsys.readouterr().err
     assert "unknown fact 'zz'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "gas0", "--org", "Ogas"],
+    ["axioms", "gas0"],
+])
+def test_non_string_pool_entry_exits_two(tmp_path, capsys, argv):
+    pool = tmp_path / "p.json"
+    pool.write_text('["provide_gas", 5]')
+    assert main(argv + ["--pool", str(pool)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pool entry 1 ")
     assert "Traceback" not in err

@@ -1,17 +1,22 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from lao import (
     InChargeAtom,
+    Model,
     ModelError,
+    OrgStructure,
+    Transition,
+    World,
     close_dependencies,
     load_model,
     validate_model,
 )
 from lao.fixtures import FIXTURES, load_fixture
 
-from conftest import fixture_doc, load_doc
+from conftest import fixture_doc, load_doc, random_org_doc
 
 
 def test_gas0_loads_with_expected_universe():
@@ -255,6 +260,20 @@ def _naive_successors(m):
     return succ, out
 
 
+def _assert_indexes_match_fields(m):
+    succ, out = _naive_successors(m)
+    assert m.succ == succ
+    assert m.out == out
+    assert list(m.succ) == list(m.out) == list(m.world_ids)
+    assert m.world_ids == tuple(w.id for w in m.worlds)
+    assert m.valuation == {w.id: w.facts for w in m.worlds}
+    for w in m.world_ids:
+        for a in sorted(m.agents):
+            for r in sorted(m.roles):
+                scan = any((a, r) in o.rea.get(w, ()) for o in m.orgs.values())
+                assert m.rea_any(w, a, r) == scan
+
+
 def test_successor_maps_match_per_world_filter():
     import random
 
@@ -275,12 +294,81 @@ def test_successor_maps_match_per_world_filter():
         "orgs": [{"id": "O", "members": ["a"], "roles": ["r"], "rea": [["a", "r"]]}],
     }
     models = [load_doc(doc)]
+    models += [load_fixture(name) for name in sorted(FIXTURES)]
     models += [generate_model(GenParams(seed=s)) for s in range(10)]
+    models += [load_doc(random_org_doc(s)) for s in range(20)]
     for m in models:
-        succ, out = _naive_successors(m)
-        assert m.succ == succ
-        assert m.out == out
-        assert list(m.succ) == list(m.out) == list(m.world_ids)
+        _assert_indexes_match_fields(m)
+
+
+def _tiny_model(transitions, totality="self-loop", rea=(("a", "r"),)):
+    worlds = (World("w0", frozenset(["p"])), World("w1", frozenset()))
+    org = OrgStructure(
+        "O", members={w.id: frozenset(["a"]) for w in worlds},
+        roles={w.id: frozenset(["r"]) for w in worlds},
+        rea={"w0": frozenset(rea), "w1": frozenset()},
+        dep={w.id: frozenset([("r", "r")]) for w in worlds},
+        desires={}, objectives={}, know_plus={}, know_minus={},
+    )
+    return Model(
+        facts=frozenset(["p"]), agents=frozenset(["a"]), roles=frozenset(["r"]),
+        worlds=worlds, transitions=transitions,
+        cap_c={}, cap_cn={}, cap_cr={}, orgs={"O": org}, totality=totality,
+    )
+
+
+def test_constructor_applies_totality_policy():
+    step = Transition("w0", "w1", frozenset([("a", "r")]))
+    m = _tiny_model([step])
+    assert m.transitions == (step, Transition("w1", "w1", frozenset()))
+    assert m.succ == {"w0": frozenset(["w1"]), "w1": frozenset(["w1"])}
+    assert m.out["w1"] == (Transition("w1", "w1", frozenset()),)
+    with pytest.raises(ModelError, match=r"totality violated: worlds \['w1'\]"):
+        _tiny_model([step], totality="error")
+    with pytest.raises(ModelError, match="totality must be"):
+        _tiny_model([step], totality="loop")
+
+
+def test_constructor_merges_and_orders_transitions():
+    m = _tiny_model([
+        Transition("w1", "w0", frozenset()),
+        Transition("w0", "w1", frozenset([("a", "r")])),
+        Transition("w0", "w1", frozenset()),
+        Transition("w0", "w0", frozenset()),
+    ])
+    assert m.transitions == (
+        Transition("w0", "w0", frozenset()),
+        Transition("w0", "w1", frozenset([("a", "r")])),
+        Transition("w1", "w0", frozenset()),
+    )
+    _assert_indexes_match_fields(m)
+
+
+def test_constructor_rejects_unlicensed_label_and_unknown_world():
+    with pytest.raises(ModelError, match="label without rea"):
+        _tiny_model([Transition("w1", "w0", frozenset([("a", "r")]))])
+    with pytest.raises(ModelError, match="label without rea"):
+        _tiny_model([Transition("w0", "w1", frozenset([("a", "r")]))], rea=())
+    with pytest.raises(ModelError, match="transition to unknown world 'w9'"):
+        _tiny_model([Transition("w0", "w9", frozenset())])
+
+
+def test_replace_and_close_dependencies_rederive_indexes():
+    base = _tiny_model([Transition("w0", "w1", frozenset([("a", "r")]))])
+    rewired = replace(base, transitions=[Transition("w0", "w0", frozenset())])
+    assert rewired.succ == {"w0": frozenset(["w0"]), "w1": frozenset(["w1"])}
+    _assert_indexes_match_fields(rewired)
+    org = base.orgs["O"]
+    widened = replace(base, orgs={"O": replace(org, rea={w: frozenset([("a", "r")]) for w in org.rea})})
+    assert widened.rea_any("w1", "a", "r") and not base.rea_any("w1", "a", "r")
+    _assert_indexes_match_fields(widened)
+    with pytest.raises(ModelError, match="label without rea"):
+        replace(base, orgs={"O": replace(org, rea={})})
+    for name in sorted(FIXTURES):
+        m = load_fixture(name)
+        closed = close_dependencies(m)
+        assert closed.transitions == m.transitions
+        _assert_indexes_match_fields(closed)
 
 
 @pytest.mark.parametrize("mutate", [

@@ -155,7 +155,9 @@ def test_oracle_agreement_on_rewired_graphs():
     # shape: arbitrary random total graphs with label discipline kept.
     import random
 
-    from lao.model import Model, Transition, successor_maps
+    from dataclasses import replace
+
+    from lao.model import Transition
 
     for seed in range(15):
         base = generate_model(GenParams(seed=seed))
@@ -170,23 +172,10 @@ def test_oracle_agreement_on_rewired_graphs():
                 if played and rng.random() < 0.6:
                     agent = rng.choice(sorted({a for (a, _r) in played}))
                     labels = {(a, r) for (a, r) in played if a == agent}
-                trans.append((w, dst, frozenset(labels)))
-        merged = {}
-        for (src, dst, labels) in trans:
-            merged.setdefault((src, dst), set()).update(labels)
-        transitions = tuple(
-            Transition(src, dst, frozenset(labels))
-            for (src, dst), labels in sorted(merged.items())
-        )
-        succ, out = successor_maps(base.world_ids, transitions)
-        m = Model(
-            facts=base.facts, agents=base.agents, roles=base.roles,
-            worlds=base.worlds, transitions=transitions,
-            cap_c=base.cap_c, cap_cn=base.cap_cn, cap_cr=base.cap_cr,
-            orgs=base.orgs, totality="self-loop", world_ids=base.world_ids,
-            valuation=base.valuation,
-            succ=succ, out=out,
-        )
+                trans.append(Transition(w, dst, frozenset(labels)))
+        # The constructor merges parallel transitions and re-derives the
+        # successor maps.
+        m = replace(base, transitions=trans)
         assert validate_model(m) == []
         ev = Evaluator(m)
         oracle = PathOracle(m, ev=ev)
