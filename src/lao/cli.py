@@ -248,6 +248,10 @@ def main(argv=None):
     if args.command == "axioms" and not args.model and args.random <= 0:
         print("error: axioms needs a model or --random N", file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "axioms" and args.model and (args.random or args.bounds):
+        print("error: axioms takes a model or --random N [--bounds ...], not both",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (ModelError, FormulaError, EvalError, verify.OracleBound) as e:

@@ -31,7 +31,8 @@ path quantifier always wraps exactly one temporal operator, so a bare
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from operator import itemgetter
 
 
 class FormulaError(Exception):
@@ -50,237 +51,281 @@ class FormulaError(Exception):
 # AST
 
 
-class Formula:
+_tuple_new, _tuple_eq, _tuple_ne = tuple.__new__, tuple.__eq__, tuple.__ne__
+
+
+class _Node(tuple):
+    """An immutable AST node: a tuple of its fields, in `_fields` order.
+
+    Each subclass declares ``__slots__ = ()`` and names its fields in
+    `_fields`; each field is read through a property.  Fields named
+    `sub`, `left`, `right` and `body` hold formulas, `holder` a `Holder`,
+    and `agents`, `roles`, `low` and `high` frozensets of names; the rest
+    are names.  `__post_init__` validates a new node.
+
+    Hashing is tuple's, in C: a node hashes as the tuple of its fields.
+    Equality checks the class, then compares the fields with tuple's C
+    comparison, so nodes of different classes are never equal.  Nodes
+    are not ordered.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__slots__" not in cls.__dict__:
+            raise TypeError(f"{cls.__name__} must declare __slots__ = ()")
+        for i, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls._fields):
+            raise TypeError(
+                f"{cls.__name__} takes {len(cls._fields)} fields, got {len(fields)}"
+            )
+        node = _tuple_new(cls, fields)
+        node.__post_init__()
+        return node
+
+    def __post_init__(self):
+        """Reject ill-formed fields; the default accepts any."""
+
+    def __getnewargs__(self):
+        # pickle and copy call __new__ with these; tuple's own gives one tuple.
+        return tuple(self)
+
+    def __eq__(self, other):
+        if self.__class__ is other.__class__:
+            return _tuple_eq(self, other)
+        # A plain tuple would otherwise compare equal through tuple's own __eq__.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        if self.__class__ is other.__class__:
+            return _tuple_ne(self, other)
+        return True if isinstance(other, tuple) else NotImplemented
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):  # hides tuple's ordering
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
+    def __bool__(self):
+        return True
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Formula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ()
+    _fields = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    sub: Formula
+    __slots__ = ()
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class AX(Formula):
-    sub: Formula
+    __slots__ = ()
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class EX(Formula):
-    sub: Formula
+    __slots__ = ()
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class AF(Formula):
-    sub: Formula
+    __slots__ = ()
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class EF(Formula):
-    sub: Formula
+    __slots__ = ()
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class AG(Formula):
-    sub: Formula
+    __slots__ = ()
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class EG(Formula):
-    sub: Formula
+    __slots__ = ()
+    _fields = ("sub",)
 
 
-@dataclass(frozen=True)
 class AU(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class EU(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ()
+    _fields = ("left", "right")
 
 
 # Holders name who acts: one agent, a group, or (agent, role) shapes.
 
 
-class Holder:
+class Holder(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SingleAgent(Holder):
-    agent: str
+    __slots__ = ()
+    _fields = ("agent",)
 
 
-@dataclass(frozen=True)
 class AgentGroup(Holder):
-    agents: frozenset
+    __slots__ = ()
+    _fields = ("agents",)
 
     def __post_init__(self):
         if not self.agents:
             raise FormulaError("agent group must be non-empty")
 
 
-@dataclass(frozen=True)
 class ReaSingle(Holder):
-    agent: str
-    role: str
+    __slots__ = ()
+    _fields = ("agent", "role")
 
 
-@dataclass(frozen=True)
 class ReaGroup(Holder):
-    agents: frozenset
-    roles: frozenset
+    __slots__ = ()
+    _fields = ("agents", "roles")
 
     def __post_init__(self):
         if not self.agents or not self.roles:
             raise FormulaError("role-enacting group must be non-empty")
 
 
-@dataclass(frozen=True)
 class Cap(Formula):
-    holder: Holder
-    sub: Formula
+    __slots__ = ()
+    _fields = ("holder", "sub")
 
 
-@dataclass(frozen=True)
 class JointCap(Formula):
-    holder: Holder
-    sub: Formula
+    __slots__ = ()
+    _fields = ("holder", "sub")
 
     def __post_init__(self):
         if not isinstance(self.holder, AgentGroup):
             raise FormulaError("JC is defined for agent groups only")
 
 
-@dataclass(frozen=True)
 class Ability(Formula):
-    holder: Holder
-    sub: Formula
+    __slots__ = ()
+    _fields = ("holder", "sub")
 
 
-@dataclass(frozen=True)
 class Attempt(Formula):
-    holder: Holder
-    sub: Formula
+    __slots__ = ()
+    _fields = ("holder", "sub")
 
 
-@dataclass(frozen=True)
 class Stit(Formula):
-    holder: Holder
-    sub: Formula
+    __slots__ = ()
+    _fields = ("holder", "sub")
 
 
-@dataclass(frozen=True)
 class InControl(Formula):
-    holder: Holder
+    __slots__ = ()
+    _fields = ("holder",)
 
 
-@dataclass(frozen=True)
 class Initiative(Formula):
-    roles: frozenset
-    sub: Formula
+    __slots__ = ()
+    _fields = ("roles", "sub")
 
     def __post_init__(self):
         if not self.roles:
             raise FormulaError("initiative role group must be non-empty")
 
 
-@dataclass(frozen=True)
 class Member(Formula):
-    agent: str
-    org: str
+    __slots__ = ()
+    _fields = ("agent", "org")
 
 
-@dataclass(frozen=True)
 class RoleOf(Formula):
-    role: str
-    org: str
+    __slots__ = ()
+    _fields = ("role", "org")
 
 
-@dataclass(frozen=True)
 class Play(Formula):
-    agent: str
-    role: str
-    org: str
+    __slots__ = ()
+    _fields = ("agent", "role", "org")
 
 
-@dataclass(frozen=True)
 class Dep(Formula):
-    org: str
-    low: frozenset
-    high: frozenset
+    __slots__ = ()
+    _fields = ("org", "low", "high")
 
     def __post_init__(self):
         if not self.low or not self.high:
             raise FormulaError("dep role groups must be non-empty")
 
 
-@dataclass(frozen=True)
 class Know(Formula):
-    org: str
-    body: Formula
+    __slots__ = ()
+    _fields = ("org", "body")
 
     def __post_init__(self):
         if not is_literal_conjunction(self.body):
             raise FormulaError("know admits only literals joined by &")
 
 
-@dataclass(frozen=True)
 class InCharge(Formula):
-    org: str
-    role: str
-    body: Formula
+    __slots__ = ()
+    _fields = ("org", "role", "body")
 
     def __post_init__(self):
         if not is_positive_conjunction(self.body):
             raise FormulaError("incharge admits no negations, only atoms and &")
 
 
-@dataclass(frozen=True)
 class Desire(Formula):
-    org: str
-    body: Formula
+    __slots__ = ()
+    _fields = ("org", "body")
 
     def __post_init__(self):
         if not is_positive_conjunction(self.body):
@@ -353,13 +398,8 @@ _KEYWORD_PREFIX = {"C", "JC", "G", "H", "E", "IC", "I", "A"}
 _UNARY_TEMPORAL = {"X": AX, "AX": AX, "EX": EX, "AF": AF, "EF": EF, "AG": AG, "EG": EG}
 
 
-@dataclass
-class _Tok:
-    kind: str  # 'ident', 'op', 'eof'
-    text: str
-    pos: int
-    line: int
-    col: int
+# kind is 'ident', 'op' or 'eof'
+_Tok = namedtuple("_Tok", "kind text pos line col")
 
 
 def _tokenize(text):

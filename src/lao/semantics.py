@@ -238,9 +238,6 @@ class Evaluator:
             raise EvalError(f"unknown world {world!r}")
         return world in self.sat(f)
 
-    def eval_all(self, f):
-        return self.sat(f)
-
     def _compute(self, f):
         m = self.m
         W = self.world_set

@@ -623,11 +623,6 @@ class PathOracle:
         return any(path_ok(p, c) for p, c in lassos)
 
 
-def path_oracle(model, world, f, ev=None, bound=ORACLE_WORLD_BOUND):
-    """One-shot oracle evaluation; build a PathOracle to batch queries."""
-    return PathOracle(model, ev=ev, bound=bound).eval(world, f)
-
-
 # ---------------------------------------------------------------------------
 # Random CTL pools for oracle cross-checking
 

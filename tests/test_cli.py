@@ -132,6 +132,18 @@ def test_axioms_needs_model_or_random(capsys):
     assert main(["axioms"]) == 2
 
 
+@pytest.mark.parametrize("extra", [
+    ["--random", "2"],
+    ["--random", "2", "--bounds", "1,1,1,1,1"],
+    ["--bounds", "1,1,1,1,1"],
+])
+def test_axioms_model_with_generation_options_is_usage_error(capsys, extra):
+    assert main(["axioms", "gas0", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "not both" in err
+    assert "Traceback" not in err
+
+
 def test_json_report_roundtrip(tmp_path, capsys, gas0_path):
     report_path = tmp_path / "report.json"
     main([

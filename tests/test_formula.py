@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -146,3 +149,99 @@ def test_and_chains_roundtrip_associativity():
     assert parse(fprint(left)) == left
     assert parse(fprint(right)) == right
     assert fprint(left) != fprint(right)
+
+
+# ---------------------------------------------------------------------------
+# Node contract: a node is a tuple of its fields, hashed and compared in C
+
+
+def test_nodes_are_not_dataclasses():
+    assert not dataclasses.is_dataclass(F.And)
+    assert not dataclasses.is_dataclass(F.And(F.Atom("p"), F.Atom("q")))
+
+
+def test_node_hash_is_hash_of_its_fields():
+    p, q = F.Atom("p"), F.Atom("q")
+    assert hash(F.And(p, q)) == hash((p, q))
+    assert hash(p) == hash(("p",))
+    assert hash(F.TrueF()) == hash(())
+
+
+def test_node_equality_needs_same_class_and_fields():
+    p, q = F.Atom("p"), F.Atom("q")
+    assert F.And(p, q) != F.Or(p, q)
+    assert not F.And(p, q) == F.Or(p, q)
+    assert F.And(p, q) != (p, q) and (p, q) != F.And(p, q)
+    assert not F.And(p, q) == (p, q)
+    assert F.TrueF() != F.FalseF()
+    built = F.AF(F.Attempt(
+        F.ReaGroup(frozenset(["a", "b"]), frozenset(["r"])),
+        F.And(F.Atom("p"), F.Not(F.Atom("q"))),
+    ))
+    parsed = parse("AF H[{a,b}:r] (p & !q)")
+    assert built is not parsed
+    assert built == parsed and not built != parsed
+    assert hash(built) == hash(parsed)
+
+
+def test_node_fields_are_read_only():
+    f = F.And(F.Atom("p"), F.Atom("q"))
+    with pytest.raises(AttributeError):
+        f.left = F.Atom("r")
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    assert f.left == F.Atom("p")
+
+
+def test_nodes_are_truthy_and_unordered():
+    assert bool(F.TrueF()) and bool(F.FalseF())
+    with pytest.raises(TypeError):
+        F.Atom("p") < F.Atom("q")
+    with pytest.raises(TypeError):
+        sorted([F.Atom("q"), F.Atom("p")])
+
+
+def test_node_repr_is_field_form():
+    f = parse("C[a:r] (p & !q) | I[r] true -> dep(O, r, {s}) & JC[{a}] false")
+    assert repr(f) == (
+        "Implies(left=Or(left=Cap(holder=ReaSingle(agent='a', role='r'), "
+        "sub=And(left=Atom(name='p'), right=Not(sub=Atom(name='q')))), "
+        "right=Initiative(roles=frozenset({'r'}), sub=TrueF())), "
+        "right=And(left=Dep(org='O', low=frozenset({'r'}), high=frozenset({'s'})), "
+        "right=JointCap(holder=AgentGroup(agents=frozenset({'a'})), sub=FalseF())))"
+    )
+
+
+def test_nodes_survive_pickle_and_deepcopy():
+    f = parse("AF H[{a,b}:r] (p & !q) | know(O, p & !q)")
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert copy.deepcopy(f) == f
+
+
+@pytest.mark.parametrize("build", [
+    lambda: F.AgentGroup(frozenset()),
+    lambda: F.ReaGroup(frozenset(), frozenset(["r"])),
+    lambda: F.ReaGroup(frozenset(["a"]), frozenset()),
+    lambda: F.Initiative(frozenset(), F.Atom("p")),
+    lambda: F.Dep("O", frozenset(), frozenset(["r"])),
+    lambda: F.Dep("O", frozenset(["r"]), frozenset()),
+    lambda: F.JointCap(F.SingleAgent("a"), F.Atom("p")),
+    lambda: F.JointCap(F.ReaGroup(frozenset(["a"]), frozenset(["r"])), F.Atom("p")),
+    lambda: F.Know("O", F.Or(F.Atom("p"), F.Atom("q"))),
+    lambda: F.InCharge("O", "r", F.Not(F.Atom("p"))),
+    lambda: F.Desire("O", F.Not(F.Atom("p"))),
+], ids=[
+    "empty-agent-group", "rea-group-no-agents", "rea-group-no-roles",
+    "initiative-no-roles", "dep-no-low", "dep-no-high", "jc-single-agent",
+    "jc-rea-group", "know-disjunction", "incharge-negation", "desire-negation",
+])
+def test_constructor_rejects_ill_formed_nodes(build):
+    with pytest.raises(FormulaError):
+        build()
+
+
+def test_constructor_checks_field_count():
+    with pytest.raises(TypeError):
+        F.And(F.Atom("p"))
+    with pytest.raises(TypeError):
+        F.TrueF(F.Atom("p"))

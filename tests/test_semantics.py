@@ -119,13 +119,13 @@ def test_capability_of_tautology_false_everywhere(fig1):
 
 
 def test_eval_all_examples(fig1):
-    assert fig1.eval_all(parse("p")) == frozenset(["w1", "w3", "w4"])
-    assert fig1.eval_all(parse("true")) == fig1.world_set
+    assert fig1.sat(parse("p")) == frozenset(["w1", "w3", "w4"])
+    assert fig1.sat(parse("true")) == fig1.world_set
 
 
 def test_member_everywhere_on_gas0():
     ev = Evaluator(load_fixture("gas0"))
-    assert ev.eval_all(parse("member(t, Ogas)")) == ev.world_set
+    assert ev.sat(parse("member(t, Ogas)")) == ev.world_set
 
 
 def test_parallel_attempts_witness(interfere):
@@ -269,8 +269,8 @@ def test_congruence_of_agency_operators():
 def test_initiative_grounded_by_incharge_on_gas0():
     ev = Evaluator(load_fixture("gas0"))
     f = parse("incharge(Ogas, monopolist, provide_gas) -> I[monopolist] provide_gas")
-    assert ev.eval_all(f) == ev.world_set
-    assert ev.eval_all(parse("I[monopolist] provide_gas")) == ev.world_set
+    assert ev.sat(f) == ev.world_set
+    assert ev.sat(parse("I[monopolist] provide_gas")) == ev.world_set
 
 
 def test_group_initiative_via_enacting_subset():

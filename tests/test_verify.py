@@ -16,7 +16,6 @@ from lao.verify import (
     generate_model,
     literal_pool,
     non_theorem_witnesses,
-    path_oracle,
     random_ctl_pool,
     run_axiom_suite,
 )
@@ -113,7 +112,7 @@ def test_witnesses_hold_under_engine_and_oracle():
     for model, world, f in pairs:
         ev = Evaluator(model)
         assert ev.eval(world, f)
-        assert path_oracle(model, world, f, ev=ev)
+        assert PathOracle(model, ev=ev).eval(world, f)
 
 
 def test_oracle_bound_is_enforced():
