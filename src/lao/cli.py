@@ -5,7 +5,12 @@ Commands::
     lao validate <model.json>
     lao check    <model.json> -f "<formula>" [--world ID | --all] [--oracle]
     lao analyze  <model.json> --org ID [--pool pool.json]
-    lao axioms   [<model.json> | --random N --seed S --bounds F,A,R,W,D]
+    lao axioms   <model.json> [--pool pool.json]
+    lao axioms   --random N [--seed S] [--bounds F,A,R,W,D]
+
+A pool file is a JSON list of formula strings; an axioms pool must hold
+conjunctions of literals and comes with a model only (generated models
+use the default literal pool).
 
 Exit codes: 0 every requested check holds, 1 some checked property
 fails, 2 usage, I/O or parse errors.  ``--json PATH`` writes the full
@@ -236,7 +241,7 @@ def build_parser():
     x.add_argument("--random", type=int, default=0, help="number of generated models")
     x.add_argument("--seed", type=int, default=0)
     x.add_argument("--bounds", help="F,A,R,W,D generation bounds")
-    x.add_argument("--pool")
+    x.add_argument("--pool", help="JSON list of literal conjunctions; with a model only")
     x.add_argument("--json")
     x.set_defaults(func=cmd_axioms)
     return p
@@ -250,6 +255,10 @@ def main(argv=None):
         return EXIT_USAGE
     if args.command == "axioms" and args.model and (args.random or args.bounds):
         print("error: axioms takes a model or --random N [--bounds ...], not both",
+              file=sys.stderr)
+        return EXIT_USAGE
+    if args.command == "axioms" and args.pool and not args.model:
+        print("error: axioms takes --pool with a model only, not with --random",
               file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -4,6 +4,7 @@ import pytest
 
 from lao.cli import main
 from lao.fixtures import fixture_path, fixture_text
+from lao.formula import fprint, parse
 
 
 @pytest.fixture
@@ -142,6 +143,30 @@ def test_axioms_model_with_generation_options_is_usage_error(capsys, extra):
     err = capsys.readouterr().err
     assert "not both" in err
     assert "Traceback" not in err
+
+
+def test_axioms_random_with_pool_is_usage_error(capsys):
+    assert main(["axioms", "--random", "1", "--pool", "/nonexistent/pool.json"]) == 2
+    err = capsys.readouterr().err
+    assert "--pool" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["!(provide_gas & buy_gas)", "AF provide_gas", "true"])
+def test_axioms_non_literal_pool_entry_is_usage_error(tmp_path, capsys, entry):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps(["provide_gas", entry]))
+    assert main(["axioms", "gas0", "--pool", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"pool entry 1 is not a literal conjunction: {fprint(parse(entry))}\n" in err
+    assert "Traceback" not in err
+
+
+def test_axioms_literal_pool(tmp_path, capsys):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps(["provide_gas", "!provide_gas & buy_gas"]))
+    assert main(["axioms", "gas0", "--pool", str(path)]) == 0
+    assert "all schemas pass" in capsys.readouterr().out
 
 
 def test_json_report_roundtrip(tmp_path, capsys, gas0_path):

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
+import zlib
 
 import pytest
 
 from lao import formula as F
+from lao import load_model, verify
 from lao.formula import parse
 from lao.fixtures import FIXTURES, load_fixture
 from lao.model import canonical_dict, validate_model
@@ -77,29 +81,27 @@ def test_a1_instance_false_everywhere():
             assert ev.sat(F.Cap(F.SingleAgent(a), F.TrueF())) == frozenset()
 
 
+# An adversarial hand-built model outside the generator's guarantees: two
+# facts that are never jointly true break capability conjunction closure.
+ADVERSARIAL_DOC = {
+    "facts": ["p", "q"],
+    "agents": ["a"],
+    "roles": ["r"],
+    "worlds": [
+        {"id": "w0", "facts": []},
+        {"id": "w1", "facts": ["p"]},
+        {"id": "w2", "facts": ["q"]},
+    ],
+    "transitions": [{"from": "w0", "to": "w1", "labels": [["a", "r"]]}],
+    "capabilities": {"c": {"a": {"default": ["p", "q"]}}},
+    "orgs": [{"id": "O", "members": ["a"], "roles": ["r"], "rea": [["a", "r"]], "dep": []}],
+    "config": {"totality": "self-loop"},
+}
+
+
 def test_suite_reports_failures_with_bindings():
-    # An adversarial hand-built model outside the generator's guarantees:
-    # two facts that are never jointly true break capability conjunction
-    # closure, and the report pins the instance.
-    import json
-
-    from lao import load_model
-
-    doc = {
-        "facts": ["p", "q"],
-        "agents": ["a"],
-        "roles": ["r"],
-        "worlds": [
-            {"id": "w0", "facts": []},
-            {"id": "w1", "facts": ["p"]},
-            {"id": "w2", "facts": ["q"]},
-        ],
-        "transitions": [{"from": "w0", "to": "w1", "labels": [["a", "r"]]}],
-        "capabilities": {"c": {"a": {"default": ["p", "q"]}}},
-        "orgs": [{"id": "O", "members": ["a"], "roles": ["r"], "rea": [["a", "r"]], "dep": []}],
-        "config": {"totality": "self-loop"},
-    }
-    rep = run_axiom_suite(load_model(json.dumps(doc)))
+    # The report pins the instance that breaks conjunction closure.
+    rep = run_axiom_suite(load_model(json.dumps(ADVERSARIAL_DOC)))
     assert "A4" in rep.failing()
     world, bindings = rep.results["A4"].failures[0]
     assert world in ("w0", "w1", "w2")
@@ -211,3 +213,129 @@ def test_generated_models_do_not_depend_on_hash_seed():
     first = digests(1)
     assert len(first) == len(seeds)
     assert digests(2) == first
+
+
+# ---------------------------------------------------------------------------
+# Golden axiom reports
+#
+# Each model's report is run twice: on the engine as it is, and on an engine
+# that flips one world in the satisfying set of every agency and
+# organization operator, so that nearly every schema records failures.  A
+# digest of the per-schema instance counts and failure lists (serialised
+# as `lao axioms --json` writes them) pins the suite's behaviour: which
+# instances it records, in what order, the smallest failing world and the
+# binding strings.
+
+GOLDEN_BOUNDS = dict(max_facts=4, max_agents=3, max_roles=2, max_worlds=8, max_out_degree=3)
+
+_FLIPPED = (
+    F.Cap, F.Ability, F.Attempt, F.Stit, F.InControl, F.Initiative,
+    F.InCharge, F.Desire, F.Know,
+)
+
+
+class FlippingEvaluator(Evaluator):
+    """Flips one world, picked by a CRC of the printed formula (stable
+    across PYTHONHASHSEED), in the satisfying set of every operator node.
+
+    The flip is applied to the set an unflipped engine computes, so each
+    operator's set is a function of the formula alone: the engine's own
+    caches, keyed on holder profiles, never see a flipped set, and the
+    result does not depend on the order in which the suite asks."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self._plain = Evaluator(model)
+
+    def _compute(self, f):
+        if isinstance(f, _FLIPPED):
+            pick = zlib.crc32(F.fprint(f).encode()) % len(self.worlds)
+            return self._plain.sat(f) ^ {self.worlds[pick]}
+        return super()._compute(f)
+
+
+def _golden_model(name):
+    if name in FIXTURES:
+        return load_fixture(name)
+    if name == "adversarial":
+        return load_model(json.dumps(ADVERSARIAL_DOC))
+    return generate_model(GenParams(seed=int(name[len("seed"):]), **GOLDEN_BOUNDS))
+
+
+def _schema_digest(report):
+    schemas = {
+        s: [r.instances, [[w, list(map(str, b))] for w, b in r.failures]]
+        for s, r in report.results.items()
+    }
+    text = json.dumps(schemas, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+GOLDEN_DIGESTS = {
+    "fig1": ("641873b82480214f", "28e5fa83780ceaf5"),
+    "gas0": ("e11ea7d7a93f0047", "4693af67b7b5d0df"),
+    "gas0prime": ("88e1132b5fb686fe", "9d22d601420bca5c"),
+    "interfere": ("43a3966a60613595", "9d0b9f7e6c1e48ad"),
+    "nesting": ("6c47bb13c8e3f981", "cc43408521683f3c"),
+    "supervision": ("41f0a1815c1d0b5d", "7371563df08bd5bc"),
+    "adversarial": ("90011d4a9da6cf13", "161540f8519d7139"),
+    "seed0": ("b84589c4e2dd9c00", "05846a458221d27a"),
+    "seed1": ("806a5c10dab1df73", "d85997644e5a85b5"),
+    "seed2": ("73d2d43a421be18a", "4efb45b8697e03f0"),
+    "seed3": ("806a5c10dab1df73", "9ef309b103dbd219"),
+    "seed4": ("1c0044ada65fee56", "363daf88b8c155ca"),
+    "seed5": ("7b683a09b008e56b", "8a429605aa5fc03d"),
+    "seed6": ("4d97b6108f7e0fe8", "0dfd969bd47030a1"),
+    "seed7": ("37165b8eab15fa02", "c93f54ff84cd054a"),
+    "seed8": ("4b84f78f353cff35", "e36ea65342c5e8dd"),
+    "seed9": ("fb811c2f725b62d9", "221f6cac13516ad6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_axiom_reports_match_golden(name, monkeypatch):
+    model = _golden_model(name)
+    plain = _schema_digest(run_axiom_suite(model))
+    monkeypatch.setattr(verify, "Evaluator", FlippingEvaluator)
+    flipped = _schema_digest(run_axiom_suite(model))
+    assert (plain, flipped) == GOLDEN_DIGESTS[name]
+
+
+def test_flipped_engine_fails_every_conditional_schema(monkeypatch):
+    # Guards the golden digests against vacuity: only A3 and A18, whose
+    # instances are unconditional, may pass on the flipped engine.
+    monkeypatch.setattr(verify, "Evaluator", FlippingEvaluator)
+    failing = set()
+    for name in GOLDEN_DIGESTS:
+        failing.update(run_axiom_suite(_golden_model(name)).failing())
+    assert set(verify.SCHEMA_IDS) - failing == {"A3", "A18"}
+
+
+def test_axiom_reports_do_not_depend_on_hash_seed():
+    # The golden digests hold under any string-hash order; set iteration
+    # order follows it, so a schema that recorded instances in set order
+    # would differ between these runs.
+    script = (
+        "import sys\n"
+        "import test_verify as t\n"
+        "from lao import verify\n"
+        "for name in sys.argv[1:]:\n"
+        "    model = t._golden_model(name)\n"
+        "    plain = t._schema_digest(verify.run_axiom_suite(model))\n"
+        "    verify.Evaluator = t.FlippingEvaluator\n"
+        "    flipped = t._schema_digest(verify.run_axiom_suite(model))\n"
+        "    verify.Evaluator = t.Evaluator\n"
+        "    print(name, plain, flipped)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(F.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    names = sorted(GOLDEN_DIGESTS)
+    expected = [f"{n} {' '.join(GOLDEN_DIGESTS[n])}" for n in names]
+    for hash_seed in (0, 123):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, here, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *names],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.splitlines() == expected, hash_seed
