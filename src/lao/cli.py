@@ -269,6 +269,10 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # Parsing, printing and evaluation recurse once per nesting level.
+        print("error: formula nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

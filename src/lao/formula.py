@@ -61,7 +61,10 @@ class _Node(tuple):
     `_fields`; each field is read through a property.  Fields named
     `sub`, `left`, `right` and `body` hold formulas, `holder` a `Holder`,
     and `agents`, `roles`, `low` and `high` frozensets of names; the rest
-    are names.  `__post_init__` validates a new node.
+    are names.  The evaluator resolves a node's names against the model
+    by these field names: `agent`/`agents` name agents, `role`/`roles`/
+    `low`/`high` roles, `org` organizations, and `Atom.name` and the
+    literals of a `body` facts.  `__post_init__` validates a new node.
 
     Hashing is tuple's, in C: a node hashes as the tuple of its fields.
     Equality checks the class, then compares the fields with tuple's C
@@ -549,9 +552,7 @@ class _Parser:
         if op.text == "C":
             return Cap(holder, self.unary())
         if op.text == "JC":
-            if not isinstance(holder, AgentGroup):
-                self.error("JC is defined for agent groups only", op)
-            return JointCap(holder, self.unary())
+            return self.build(op, JointCap, holder, self.unary())
         if op.text == "G":
             return Ability(holder, self.unary())
         if op.text == "H":
@@ -668,18 +669,18 @@ class _Parser:
             self.expect(",")
             body = self.iff()
             self.expect(")")
-            if not is_positive_conjunction(body):
-                self.error("incharge admits no negations, only atoms and &", open_tok)
-            return InCharge(org, r, body)
+            return self.build(open_tok, InCharge, org, r, body)
         body = self.iff()
         self.expect(")")
-        if name == "know":
-            if not is_literal_conjunction(body):
-                self.error("know admits only literals joined by &", open_tok)
-            return Know(org, body)
-        if not is_positive_conjunction(body):
-            self.error("desire admits no negations, only atoms and &", open_tok)
-        return Desire(org, body)
+        return self.build(open_tok, Know if name == "know" else Desire, org, body)
+
+    def build(self, tok, cls, *fields):
+        """A `cls` node; its constructor's well-formedness error is
+        reported at `tok`."""
+        try:
+            return cls(*fields)
+        except FormulaError as e:
+            self.error(e.message, tok)
 
 
 def parse(text):

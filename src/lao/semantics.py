@@ -15,6 +15,7 @@ Two semantic choices live here (both recorded in the package notes):
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import formula as F
@@ -23,6 +24,15 @@ from .model import InChargeAtom
 
 class EvalError(Exception):
     """Unknown identifier in a formula or query."""
+
+
+@functools.cache
+def _name_fields(cls):
+    """(index, field, kind) of each name-bearing field of a node class
+    (see `F._Node`); a holder is resolved as a node of its own."""
+    kinds = dict(agent="agent", agents="agent", role="role", roles="role", low="role",
+                 high="role", org="organization", name="fact", body="fact", holder="holder")
+    return tuple((i, f, kinds[f]) for i, f in enumerate(cls._fields) if f in kinds)
 
 
 class Evaluator:
@@ -39,6 +49,9 @@ class Evaluator:
         self.worlds = list(model.world_ids)
         self.world_set = frozenset(self.worlds)
         self._sat = {}
+        self._resolved = set()  # holders whose names are all declared
+        self._declared = {"agent": model.agents, "role": model.roles,
+                          "organization": model.orgs, "fact": model.facts}
         self._atom_worlds = {}
         # Agency memo: what Cap/Ability/Attempt read of a holder, interned,
         # and their satisfying sets keyed on that and the goal's set.
@@ -68,63 +81,26 @@ class Evaluator:
         """Transitions out of `world` the holder influences (label match)."""
         if world not in self.m.succ:
             raise EvalError(f"unknown world {world!r}")
-        self._check_holder(holder)
-        out = []
-        for t in self.m.out[world]:
-            if self._labels_match(t.labels, holder, world):
-                out.append(t)
-        return out
+        self._resolve_holder(holder)
+        return [t for t in self.m.out[world] if self._labels_match(t.labels, holder)]
 
-    def _labels_match(self, labels, holder, world):
-        if isinstance(holder, F.SingleAgent):
-            return any(a == holder.agent for (a, _r) in labels)
-        if isinstance(holder, F.AgentGroup):
-            return any(a in holder.agents for (a, _r) in labels)
-        if isinstance(holder, F.ReaSingle):
-            return (holder.agent, holder.role) in labels
-        if isinstance(holder, F.ReaGroup):
-            return any(
-                (a, r) in labels
-                for a in holder.agents
-                for r in holder.roles
-                if self.m.rea_any(world, a, r)
-            )
-        raise TypeError(f"not a holder: {holder!r}")
-
-    def _check_holder(self, holder):
-        if isinstance(holder, F.SingleAgent):
-            agents, roles = {holder.agent}, set()
-        elif isinstance(holder, F.AgentGroup):
-            agents, roles = set(holder.agents), set()
-        elif isinstance(holder, F.ReaSingle):
-            agents, roles = {holder.agent}, {holder.role}
-        else:
-            agents, roles = set(holder.agents), set(holder.roles)
-        unknown = agents - self.m.agents
-        if unknown:
-            raise EvalError(f"unknown agent(s) {sorted(unknown)}")
-        unknown = roles - self.m.roles
-        if unknown:
-            raise EvalError(f"unknown role(s) {sorted(unknown)}")
+    def _labels_match(self, labels, holder):
+        """Some label is an agent of the holder, in one of its roles if it
+        names any.  The `Model` constructor rejects labels that are not
+        enactments at their source world, so no rea test is needed."""
+        agents, roles = _agents_roles(holder)
+        if roles is None:
+            return any(a in agents for (a, _r) in labels)
+        return any(a in agents and r in roles for (a, r) in labels)
 
     def controlled_atoms(self, world, holder):
-        """The holder's control set at a world (c, union c, cr, union cr)."""
+        """The holder's control set at a world: the union of c over its
+        agents, or of cr over its agents and roles."""
         m = self.m
-        if isinstance(holder, F.SingleAgent):
-            return m.c(holder.agent, world)
-        if isinstance(holder, F.AgentGroup):
-            out = frozenset()
-            for a in holder.agents:
-                out |= m.c(a, world)
-            return out
-        if isinstance(holder, F.ReaSingle):
-            return m.cr(holder.agent, holder.role, world)
-        out = frozenset()
-        for a in holder.agents:
-            for r in holder.roles:
-                if m.rea_any(world, a, r):
-                    out |= m.cr(a, r, world)
-        return out
+        agents, roles = _agents_roles(holder)
+        if roles is None:
+            return frozenset().union(*(m.c(a, world) for a in agents))
+        return frozenset().union(*(m.cr(a, r, world) for a in agents for r in roles))
 
     # -- capability core ----------------------------------------------------
 
@@ -229,9 +205,38 @@ class Evaluator:
     def sat(self, f):
         got = self._sat.get(f)
         if got is None:
+            self._resolve(f)
             got = self._compute(f)
             self._sat[f] = got
         return got
+
+    def _resolve(self, node):
+        """Raise EvalError for the first name in `node` the model does not
+        declare.  Fields are taken in `_fields` order, a set's names in
+        sorted order, a body's facts in conjunct order, and a holder's
+        names with its node's, the first time the holder is met.
+        Sub-formulas are not walked: `sat` resolves each one when it
+        evaluates it."""
+        for i, field, kind in _name_fields(type(node)):
+            value = node[i]
+            if kind == "holder":
+                self._resolve_holder(value)
+                continue
+            declared = self._declared[kind]
+            if field == "body":
+                names = [name for name, _pos in F.conjunct_literals(value)]
+            elif isinstance(value, frozenset):
+                names = () if value <= declared else sorted(value)
+            else:
+                names = () if value in declared else (value,)
+            for name in names:
+                if name not in declared:
+                    raise EvalError(f"unknown {kind} {name!r}")
+
+    def _resolve_holder(self, holder):
+        if holder not in self._resolved:
+            self._resolve(holder)
+            self._resolved.add(holder)
 
     def eval(self, world, f):
         if world not in self.m.succ:
@@ -246,7 +251,6 @@ class Evaluator:
         if isinstance(f, F.FalseF):
             return frozenset()
         if isinstance(f, F.Atom):
-            self._check_fact(f.name)
             return frozenset(w for w in self.worlds if f.name in m.valuation[w])
         if isinstance(f, F.Not):
             return W - self.sat(f.sub)
@@ -276,8 +280,6 @@ class Evaluator:
             return self._au(self.sat(f.left), self.sat(f.right))
         if isinstance(f, F.EU):
             return self._eu(self.sat(f.left), self.sat(f.right))
-        if isinstance(f, (F.Cap, F.JointCap, F.Ability, F.Attempt, F.Stit, F.InControl)):
-            self._check_holder(f.holder)
         if isinstance(f, F.Cap):
             return self._cap_set(f.holder, self.sat(f.sub))
         if isinstance(f, F.JointCap):
@@ -287,37 +289,29 @@ class Evaluator:
         if isinstance(f, F.InControl):
             return frozenset(
                 w for w in self.worlds
-                if all(self._labels_match(t.labels, f.holder, w) for t in m.out[w])
+                if all(self._labels_match(t.labels, f.holder) for t in m.out[w])
             )
         if isinstance(f, F.Stit):
             return self.sat(F.Attempt(f.holder, f.sub)) & self.sat(F.InControl(f.holder))
         if isinstance(f, F.Initiative):
             return self._initiative(f.roles, f.sub)
         if isinstance(f, F.Member):
-            org = self._org(f.org)
-            self._check_agent(f.agent)
+            org = m.orgs[f.org]
             return frozenset(w for w in self.worlds if f.agent in org.members.get(w, ()))
         if isinstance(f, F.RoleOf):
-            org = self._org(f.org)
-            self._check_role(f.role)
+            org = m.orgs[f.org]
             return frozenset(w for w in self.worlds if f.role in org.roles.get(w, ()))
         if isinstance(f, F.Play):
-            org = self._org(f.org)
-            self._check_agent(f.agent)
-            self._check_role(f.role)
+            org = m.orgs[f.org]
             return frozenset(
                 w for w in self.worlds if (f.agent, f.role) in org.rea.get(w, ())
             )
         if isinstance(f, F.Dep):
-            org = self._org(f.org)
-            for r in f.low | f.high:
-                self._check_role(r)
+            org = m.orgs[f.org]
             return frozenset(w for w in self.worlds if self._dep_groups(org, w, f.low, f.high))
         if isinstance(f, F.Know):
-            org = self._org(f.org)
+            org = m.orgs[f.org]
             lits = F.conjunct_literals(f.body)
-            for name, _pos in lits:
-                self._check_fact(name)
             out = []
             for w in self.worlds:
                 kp = org.know_plus.get(w, frozenset())
@@ -326,43 +320,20 @@ class Evaluator:
                     out.append(w)
             return frozenset(out)
         if isinstance(f, F.InCharge):
-            org = self._org(f.org)
-            self._check_role(f.role)
+            org = m.orgs[f.org]
             need = set(F.conjunct_atoms(f.body))
-            for name in need:
-                self._check_fact(name)
             return frozenset(
                 w for w in self.worlds if need <= org.obj(f.role, w)
             )
         if isinstance(f, F.Desire):
-            org = self._org(f.org)
+            org = m.orgs[f.org]
             need = set(F.conjunct_atoms(f.body))
-            for name in need:
-                self._check_fact(name)
             return frozenset(
                 w for w in self.worlds if need <= org.desires.get(w, frozenset())
             )
         raise TypeError(f"not a formula: {f!r}")
 
     # -- helpers -------------------------------------------------------------
-
-    def _org(self, name):
-        org = self.m.orgs.get(name)
-        if org is None:
-            raise EvalError(f"unknown organization {name!r}")
-        return org
-
-    def _check_agent(self, a):
-        if a not in self.m.agents:
-            raise EvalError(f"unknown agent {a!r}")
-
-    def _check_role(self, r):
-        if r not in self.m.roles:
-            raise EvalError(f"unknown role {r!r}")
-
-    def _check_fact(self, name):
-        if name not in self.m.facts:
-            raise EvalError(f"unknown fact {name!r}")
 
     def _ax(self, s):
         return frozenset(w for w in self.worlds if self.m.succ[w] <= s)
@@ -456,9 +427,7 @@ class Evaluator:
         world itself depends on the organization's roles and enactors
         there, so worlds that agree on them are decided together.
         """
-        for r in roles:
-            self._check_role(r)
-        # Checks the goal's identifiers even where no holder reaches it.
+        # Resolves the goal's names even where no holder reaches the goal.
         self.sat(sub)
         out = set()
         for org in self.m.orgs.values():
@@ -503,7 +472,7 @@ class Evaluator:
             key = (agency_id, bodies_id)
             got = self._eventually.get(key)
             if got is None:
-                goal = F.AF(_disjoin([F.Attempt(holder, b) for b in bodies]))
+                goal = F.AF(functools.reduce(F.Or, [F.Attempt(holder, b) for b in bodies]))
                 got = self._eventually[key] = self.sat(goal)
             found |= todo & got
             if found == todo:
@@ -538,11 +507,11 @@ class Evaluator:
         return got
 
 
-def _disjoin(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = F.Or(out, p)
-    return out
+def _agents_roles(holder):
+    """A holder as its agents and, for `a:r` and `{..}:{..}`, its roles
+    (None for `a` and `{..}`); a single name is read as a group of one."""
+    agents, *roles = (v if isinstance(v, frozenset) else (v,) for v in holder)
+    return agents, (roles[0] if roles else None)
 
 
 def nonempty_subsets(items):

@@ -131,7 +131,6 @@ class EnumeratingEvaluator(Evaluator):
 
     def _compute(self, f):
         if isinstance(f, (F.Cap, F.Ability, F.Attempt)):
-            self._check_holder(f.holder)
             sub = self.sat(f.sub)
             out = self.cap_by_definition(f.holder, sub)
             if isinstance(f, F.Cap):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lao
 from lao.cli import main
 from lao.fixtures import fixture_path, fixture_text
 from lao.formula import fprint, parse
@@ -263,3 +267,44 @@ def test_non_string_pool_entry_exits_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: pool entry 1 ")
     assert "Traceback" not in err
+
+
+def _lao(argv, hash_seed=0):
+    """Run `lao` in a fresh interpreter, so that neither this process's
+    hash seed nor its stack depth reaches the command."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lao.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lao.cli", *argv], env=env, capture_output=True, text=True,
+    )
+
+
+# With several unknown names, the first in field order, a set's names
+# sorted and a body's facts in conjunct order, is the one reported.
+@pytest.mark.parametrize("formula, message", [
+    ("desire(Ogas, zz & yy)", "unknown fact 'zz'"),
+    ("incharge(Ogas, trader, zz & yy)", "unknown fact 'zz'"),
+    ("I[{zz,yy}] provide_gas", "unknown role 'yy'"),
+    ("dep(Ogas, {zz,yy}, trader)", "unknown role 'yy'"),
+    ("C[{zz,yy}] provide_gas", "unknown agent 'yy'"),
+])
+def test_unknown_name_message_does_not_depend_on_hash_seed(formula, message):
+    for hash_seed in (0, 123):
+        done = _lao(["check", "gas0", "-f", formula], hash_seed)
+        assert (done.returncode, done.stderr) == (2, f"error: {message}\n"), hash_seed
+
+
+@pytest.mark.parametrize("formula, code", [
+    ("!" * 450 + "p", 0),
+    (" & ".join(["p"] * 450), 0),
+    ("!" * 500 + "p", 2),
+    (" & ".join(["p"] * 500), 2),
+    ("(" * 1100 + "p" + ")" * 1100, 2),
+], ids=["450-not", "450-and", "500-not", "500-and", "1100-paren"])
+def test_deeply_nested_formula_exits_two_without_traceback(formula, code):
+    done = _lao(["check", "fig1", "-f", formula, "--world", "w1"])
+    assert done.returncode == code
+    if code == 2:
+        assert done.stderr == "error: formula nested too deeply\n"
+    assert "Traceback" not in done.stderr

@@ -98,6 +98,18 @@ def test_know_allows_literals_only():
         parse("know(O, !!p)")
 
 
+def test_well_formedness_errors_positioned_at_operator():
+    for text, col, message in [
+        ("JC[a] p", 1, "JC is defined for agent groups only"),
+        ("know(O, p | q)", 5, "know admits only literals joined by &"),
+        ("desire(O, !p)", 7, "desire admits no negations, only atoms and &"),
+        ("incharge(O, r, p & !q)", 9, "incharge admits no negations, only atoms and &"),
+    ]:
+        with pytest.raises(FormulaError) as e:
+            parse(text)
+        assert (e.value.message, e.value.line, e.value.col) == (message, 1, col), text
+
+
 def test_bare_until_is_rejected_as_non_ctl():
     with pytest.raises(FormulaError) as e:
         parse("(p U q)")

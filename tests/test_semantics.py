@@ -147,6 +147,41 @@ def test_unknown_identifiers_raise():
                  "E[zz] p", "JC[{a,zz}] p", "IC[zz]"):
         with pytest.raises(EvalError, match="unknown"):
             ev.eval("w0", parse(text))
+    # One case per name-bearing field of every node class, with its message.
+    cases = [
+        ("zz", "fact 'zz'"),
+        ("member(zz, Oa)", "agent 'zz'"),
+        ("member(a, Ozz)", "organization 'Ozz'"),
+        ("role(zz, Oa)", "role 'zz'"),
+        ("role(actor, Ozz)", "organization 'Ozz'"),
+        ("play(zz, actor, Oa)", "agent 'zz'"),
+        ("play(a, zz, Oa)", "role 'zz'"),
+        ("play(a, actor, Ozz)", "organization 'Ozz'"),
+        ("dep(Ozz, actor, actor)", "organization 'Ozz'"),
+        ("dep(Oa, {actor,zz}, actor)", "role 'zz'"),
+        ("dep(Oa, actor, {actor,zz})", "role 'zz'"),
+        ("know(Ozz, p)", "organization 'Ozz'"),
+        ("know(Oa, p & !zz)", "fact 'zz'"),
+        ("incharge(Ozz, actor, p)", "organization 'Ozz'"),
+        ("incharge(Oa, zz, p)", "role 'zz'"),
+        ("incharge(Oa, actor, p & zz)", "fact 'zz'"),
+        ("desire(Ozz, p)", "organization 'Ozz'"),
+        ("desire(Oa, p & zz)", "fact 'zz'"),
+        ("I[zz] p", "role 'zz'"),
+        ("I[{actor,zz}] p", "role 'zz'"),
+        ("JC[{a,zz}] p", "agent 'zz'"),
+    ]
+    holders = [
+        ("zz", "agent"), ("{a,zz}", "agent"), ("zz:actor", "agent"),
+        ("a:zz", "role"), ("{a,zz}:{actor}", "agent"), ("{a}:{actor,zz}", "role"),
+    ]
+    for op in ("C", "G", "H", "E"):
+        cases += [(f"{op}[{h}] p", f"{kind} 'zz'") for h, kind in holders]
+    cases += [(f"IC[{h}]", f"{kind} 'zz'") for h, kind in holders]
+    for text, message in cases:
+        with pytest.raises(EvalError) as e:
+            ev.sat(parse(text))
+        assert str(e.value) == f"unknown {message}", text
 
 
 # -- operator ladder and algebra ---------------------------------------------
