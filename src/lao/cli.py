@@ -128,7 +128,7 @@ def cmd_analyze(args):
     model = _read_model(args.model)
     report = _report_skeleton(args, model)
     if args.org not in model.orgs:
-        print(f"error: unknown org {args.org!r}", file=sys.stderr)
+        print(f"error: unknown organization {args.org!r}", file=sys.stderr)
         return EXIT_USAGE
     pool = None
     if args.pool:

@@ -324,6 +324,8 @@ def load_model(source):
         doc = json.loads(source)
     except json.JSONDecodeError as e:
         raise ModelError(f"syntax error: {e.msg} at line {e.lineno}, column {e.colno}")
+    except RecursionError:
+        raise ModelError("model file nested too deeply")
     if not isinstance(doc, dict):
         raise ModelError("model file must contain a JSON object")
     _check_shape(doc)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import formula as F
 from .model import InChargeAtom
-from .semantics import Evaluator, nonempty_subsets
+from .semantics import Evaluator
 
 CAP_KNOWLEDGE_PREFIX = "cap__"
 
@@ -58,7 +58,10 @@ def load_pool(text):
     """Parse a pool file: a JSON list of formula strings."""
     import json
 
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("pool file nested too deeply")
     if not isinstance(raw, list):
         raise ValueError("pool file must be a JSON list of formula strings")
     for i, s in enumerate(raw):
@@ -109,42 +112,44 @@ def check_structurally_well_defined(model, org_id):
     return _verdict(org_id, "structurally-well-defined", witnesses)
 
 
+def _role_initiative(ev, org, goal):
+    """The (world, role) pairs where a role of the organization there has
+    the initiative for the goal, reading `Initiative({r}, goal)` once per
+    role."""
+    roles = set().union(*(org.roles.get(w, ()) for w in ev.m.world_ids))
+    return {
+        (w, r)
+        for r in sorted(roles)
+        for w in ev.sat(F.Initiative(frozenset([r]), goal))
+        if r in org.roles.get(w, ())
+    }
+
+
 def check_well_defined(model, org_id, pool, ev=None):
     """Whatever the organization desires, some of its roles has the
     initiative to achieve."""
     ev = ev or Evaluator(model)
-    org = model.orgs[org_id]
     witnesses = []
     for goal in pool:
         if not F.is_positive_conjunction(goal):
             continue
-        desire_sat = ev.sat(F.Desire(org_id, goal))
-        for w in sorted(desire_sat):
-            roles_here = sorted(org.roles.get(w, frozenset()))
-            if not any(
-                ev.eval(w, F.Initiative(frozenset([r]), goal)) for r in roles_here
-            ):
-                witnesses.append((w, F.fprint(goal)))
+        led = {w for (w, _) in _role_initiative(ev, model.orgs[org_id], goal)}
+        witnesses += [(w, F.fprint(goal)) for w in ev.sat(F.Desire(org_id, goal)) - led]
     return _verdict(org_id, "well-defined", witnesses)
 
 
 def check_successful(model, org_id, pool, ev=None):
     """Well-defined plus the organization can actually achieve each desire."""
     ev = ev or Evaluator(model)
-    org = model.orgs[org_id]
     witnesses = []
     for goal in pool:
         if not F.is_positive_conjunction(goal):
             continue
-        desire_sat = ev.sat(F.Desire(org_id, goal))
-        for w in sorted(desire_sat):
+        led = {w for (w, _) in _role_initiative(ev, model.orgs[org_id], goal)}
+        for w in ev.sat(F.Desire(org_id, goal)):
             if not org_capability(ev, w, org_id, goal):
                 witnesses.append((w, F.fprint(goal), "no group capability"))
-                continue
-            roles_here = sorted(org.roles.get(w, frozenset()))
-            if not any(
-                ev.eval(w, F.Initiative(frozenset([r]), goal)) for r in roles_here
-            ):
+            elif w not in led:
                 witnesses.append((w, F.fprint(goal), "no role with initiative"))
     return _verdict(org_id, "successful", witnesses)
 
@@ -157,7 +162,10 @@ def check_good(model, org_id, pool, ev=None):
     profile classes more finely, and the other-falsifier condition does
     not depend on the holder, so their capability grows with U.  Hence
     some allowed U works iff the largest does: every role at the world
-    below some role of Z.
+    below some role of Z.  That target grows with Z, so the groups whose
+    target fails are closed under subsets: a depth-first search over the
+    sorted roles extends a group only while its target still fails, and
+    only those groups are asked for `Initiative`.
     """
     ev = ev or Evaluator(model)
     org = model.orgs[org_id]
@@ -171,19 +179,18 @@ def check_good(model, org_id, pool, ev=None):
             roles_here = org.roles.get(w, frozenset())
             rea_here = org.rea.get(w, frozenset())
             dep_here = org.dep.get(w, frozenset())
-            for z in nonempty_subsets(sorted(roles_here)):
-                zset = frozenset(z)
-                if not ev.eval(w, F.Initiative(zset, goal)):
+            order = sorted(roles_here)
+            stack = [(r,) for r in order]
+            while stack:
+                z = stack.pop()
+                u = frozenset(q for (r, q) in dep_here if r in z and q in roles_here)
+                v = frozenset(a for (a, r) in rea_here if r in u)
+                if v and ev.eval(w, F.Cap(F.ReaGroup(v, u), goal)):
                     continue
-                below = frozenset(q for (r, q) in dep_here if r in zset and q in roles_here)
-                if not _delegation_target_ok(ev, w, below, rea_here, goal):
+                if ev.eval(w, F.Initiative(frozenset(z), goal)):
                     witnesses.append((w, F.fprint(goal), "{" + ",".join(z) + "}"))
+                stack += [z + (r,) for r in order[order.index(z[-1]) + 1:]]
     return _verdict(org_id, "good", witnesses)
-
-
-def _delegation_target_ok(ev, w, uset, rea_here, goal):
-    v = frozenset(a for (a, r) in rea_here if r in uset)
-    return bool(v) and ev.eval(w, F.Cap(F.ReaGroup(v, uset), goal))
 
 
 def check_good_property(model, org_id, pool, ev=None):
@@ -194,16 +201,16 @@ def check_good_property(model, org_id, pool, ev=None):
     for goal in pool:
         if not F.is_positive_conjunction(goal):
             continue
-        attempt_here = set()
-        for w in model.world_ids:
-            members = org.members.get(w, frozenset())
-            if members and ev.eval(w, F.Attempt(F.AgentGroup(members), goal)):
-                attempt_here.add(w)
-        eventually = ev.af(frozenset(attempt_here))
-        for w in model.world_ids:
-            for r in sorted(org.roles.get(w, frozenset())):
-                if ev.eval(w, F.Initiative(frozenset([r]), goal)) and w not in eventually:
-                    witnesses.append((w, F.fprint(goal), r))
+        attempt_here = frozenset(
+            w for w in model.world_ids
+            if org.members.get(w) and ev.eval(w, F.Attempt(F.AgentGroup(org.members[w]), goal))
+        )
+        eventually = ev.af(attempt_here)
+        witnesses += [
+            (w, F.fprint(goal), r)
+            for (w, r) in _role_initiative(ev, org, goal)
+            if w not in eventually
+        ]
     return _verdict(org_id, "good-property", witnesses)
 
 
@@ -250,50 +257,31 @@ def check_efficient(model, org_id, pool, ev=None):
         if not F.is_positive_conjunction(goal):
             continue
         goal_facts = F.conjunct_atoms(goal)
-        for w in model.world_ids:
-            roles_here = sorted(org.roles.get(w, frozenset()))
+        for (w, r) in sorted(_role_initiative(ev, org, goal)):
             rea_here = org.rea.get(w, frozenset())
-            dep_here = org.dep.get(w, frozenset())
+            players = sorted(a for (a, rr) in rea_here if rr == r)
+            if not players or any(ev.eval(w, F.Cap(F.ReaSingle(a, r), goal)) for a in players):
+                continue
+            capable_deps = [
+                (q, b)
+                for q in sorted(org.roles.get(w, frozenset()))
+                if (r, q) in org.dep.get(w, frozenset())
+                for b in sorted(a for (a, rr) in rea_here if rr == q)
+                if ev.eval(w, F.Cap(F.ReaSingle(b, q), goal))
+            ]
             kp = org.know_plus.get(w, frozenset())
-            for r in roles_here:
-                players = sorted(a for (a, rr) in rea_here if rr == r)
-                if not players:
-                    continue
-                if not ev.eval(w, F.Initiative(frozenset([r]), goal)):
-                    continue
-                if any(
-                    ev.eval(w, F.Cap(F.ReaSingle(a, r), goal)) for a in players
-                ):
-                    continue
-                capable_deps = []
-                for q in roles_here:
-                    if (r, q) not in dep_here:
-                        continue
-                    for b in sorted(a for (a, rr) in rea_here if rr == q):
-                        if ev.eval(w, F.Cap(F.ReaSingle(b, q), goal)):
-                            capable_deps.append((q, b))
-                if not capable_deps:
-                    continue
-                ok = False
-                for (q, b) in capable_deps:
-                    known = all(
-                        cap_knowledge_fact(b, q, fact) in kp for fact in goal_facts
-                    )
-                    if not known:
-                        continue
-                    if any(
-                        ev.eval(w, F.Stit(F.ReaSingle(a, r), F.InCharge(org_id, q, goal)))
-                        for a in players
-                    ):
-                        ok = True
-                        break
-                if not ok:
-                    known_any = any(
-                        all(cap_knowledge_fact(b, q, fact) in kp for fact in goal_facts)
-                        for (q, b) in capable_deps
-                    )
-                    reason = "delegation stit missing" if known_any else "capability not known"
-                    witnesses.append((w, F.fprint(goal), r, reason))
+            known = [
+                q for (q, b) in capable_deps
+                if all(cap_knowledge_fact(b, q, fact) in kp for fact in goal_facts)
+            ]
+            if not capable_deps or any(
+                ev.eval(w, F.Stit(F.ReaSingle(a, r), F.InCharge(org_id, q, goal)))
+                for q in known
+                for a in players
+            ):
+                continue
+            reason = "delegation stit missing" if known else "capability not known"
+            witnesses.append((w, F.fprint(goal), r, reason))
     return _verdict(org_id, "efficient", witnesses)
 
 

@@ -114,6 +114,7 @@ def test_analyze_gas0prime_fails_efficiency(capsys):
 
 def test_analyze_unknown_org(capsys, gas0_path):
     assert main(["analyze", gas0_path, "--org", "Nope"]) == 2
+    assert capsys.readouterr().err == "error: unknown organization 'Nope'\n"
 
 
 def test_analyze_desire_free_toy_all_vacuous(capsys):
@@ -308,3 +309,14 @@ def test_deeply_nested_formula_exits_two_without_traceback(formula, code):
     if code == 2:
         assert done.stderr == "error: formula nested too deeply\n"
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["validate", "{deep}"], "model file nested too deeply"),
+    (["analyze", "gas0", "--org", "Ogas", "--pool", "{deep}"], "pool file nested too deeply"),
+], ids=["model", "pool"])
+def test_deeply_nested_json_file_is_not_a_formula_error(tmp_path, argv, message):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    done = _lao([a.format(deep=deep) for a in argv])
+    assert (done.returncode, done.stderr) == (2, f"error: {message}\n")

@@ -2,6 +2,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lao import (
     InChargeAtom,
@@ -428,3 +430,44 @@ def test_mutated_fixtures_raise_only_model_error():
             load_doc(doc)
         except ModelError:
             pass
+
+
+# JSON documents for the loader property: arbitrary values whose object
+# keys come from the model schema, and objects with declared ids and worlds
+# whose other fields are arbitrary, so that some of them load.
+_SCHEMA_KEYS = st.sampled_from([
+    "facts", "agents", "roles", "worlds", "transitions", "orgs", "capabilities",
+    "config", "totality", "depClosure", "c", "cn", "cr", "id", "from", "to", "labels",
+    "members", "rea", "dep", "desires", "knowPlus", "knowMinus", "objectives",
+    "default", "at", "agent", "role", "incharge", "org", "fact",
+])
+_NAMES = st.sampled_from(["p", "q", "a", "b", "r", "w0", "w1", "O", "error", "self-loop"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | _NAMES | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_SCHEMA_KEYS | _NAMES, inner, max_size=5),
+    max_leaves=40,
+)
+_IDS = st.lists(_NAMES, min_size=1, max_size=3, unique=True)
+_WORLD = st.fixed_dictionaries({"id": _NAMES}, optional={"facts": st.just([]) | _IDS | _JSON})
+_CAPABILITIES = st.dictionaries(
+    st.sampled_from(["c", "cn", "cr"]), st.dictionaries(_NAMES, _JSON, max_size=3), max_size=3
+)
+_DOCUMENTS = st.fixed_dictionaries(
+    {"facts": _IDS, "agents": _IDS, "roles": _IDS,
+     "worlds": st.lists(_WORLD, min_size=1, max_size=3)},
+    optional={"transitions": st.lists(_JSON, max_size=3) | _JSON,
+              "orgs": st.lists(_JSON, max_size=3) | _JSON,
+              "config": st.just({"totality": "self-loop"}) | _JSON,
+              "capabilities": _CAPABILITIES | _JSON},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_DOCUMENTS, _JSON).map(json.dumps))
+@example("[" * 100000)
+def test_loader_returns_a_model_or_raises_model_error(text):
+    try:
+        assert isinstance(load_model(text), Model)
+    except ModelError:
+        pass

@@ -12,6 +12,7 @@ from lao.semantics import Evaluator
 from conftest import (
     EnumeratingEvaluator,
     analyze_by_enumeration,
+    check_good_by_enumeration,
     load_doc,
     random_org_doc,
 )
@@ -84,3 +85,26 @@ def test_synthetic_six_role_organization_matches_enumeration():
     assert (verdicts, labels) == analyze_by_enumeration(m, "O")
     assert labels == {"hierarchy", "flat-hierarchy"}
     assert not {v.prop for v in verdicts if not v.holds} - {"successful"}
+
+
+def test_check_good_asks_initiative_only_of_groups_whose_target_fails():
+    m = load_doc(synthetic_org_doc(10, 2))
+    ev = Evaluator(m)
+    assert O.check_good(m, "O", O.default_pool(m, "O"), ev).holds
+    # Asking every one of the 1023 role groups at every capable world
+    # leaves 11253 initiative sets in the memo.
+    assert sum(isinstance(f, F.Initiative) for f in ev._sat) <= 100
+
+
+# The only seeds of the 200 above whose `good` witnesses include a
+# two-role group: {r1,r2}, {r0,r1} and {r1,r2}.
+@pytest.mark.parametrize("seed", [151, 167, 199])
+def test_check_good_finds_multi_role_witnesses(seed):
+    m = load_doc(random_org_doc(seed))
+    groups = set()
+    for oid in sorted(m.orgs):
+        pool = O.default_pool(m, oid)
+        got = O.check_good(m, oid, pool, Evaluator(m))
+        assert got == check_good_by_enumeration(m, oid, pool, EnumeratingEvaluator(m)), oid
+        groups |= {w[2] for w in got.witnesses}
+    assert any("," in z for z in groups)
